@@ -72,11 +72,17 @@ class SmoothedClassifier:
         )
 
     # -- smoothing ---------------------------------------------------------
-    def _randomize(self, doc: list[str], rng: np.random.Generator) -> list[str]:
+    def _randomize(
+        self,
+        doc: list[str],
+        slots: list[tuple[int, tuple[str, ...]]],
+        rng: np.random.Generator,
+    ) -> list[str]:
+        # one rng.random() per synonym-bearing slot, in document order, then
+        # one rng.integers() per substitution: the ensemble depends on it
         out = list(doc)
-        for i, word in enumerate(out):
-            syns = self.lexicon.synonyms(word)
-            if syns and rng.random() < self.substitution_prob:
+        for i, syns in slots:
+            if rng.random() < self.substitution_prob:
                 out[i] = str(syns[rng.integers(len(syns))])
         return out
 
@@ -91,11 +97,15 @@ class SmoothedClassifier:
     def predict_proba(self, docs: Sequence[Sequence[str]], batch_size: int = 128) -> np.ndarray:
         """Mean class probabilities over the randomized ensemble."""
         ensemble: list[list[str]] = []
+        synonyms = self.lexicon.synonyms
         for doc in docs:
             doc = list(doc)
             rng = self._doc_rng(doc)
+            slots = [(i, syns) for i, word in enumerate(doc) if (syns := synonyms(word))]
             ensemble.append(doc)  # always include the original
-            ensemble.extend(self._randomize(doc, rng) for _ in range(self.n_samples - 1))
+            ensemble.extend(
+                self._randomize(doc, slots, rng) for _ in range(self.n_samples - 1)
+            )
         probs = self.model.predict_proba(ensemble, batch_size=batch_size)
         return probs.reshape(len(docs), self.n_samples, -1).mean(axis=1)
 

@@ -8,12 +8,26 @@ batches) that Python overhead dominates the actual FLOPs.
 
 This module provides pure-NumPy *fused* forward kernels that read weights
 straight out of the trained ``Module`` parameters: a single fused gate
-matmul per LSTM/GRU timestep over preallocated state buffers, conv-as-matmul
-for the WCNN, and a NumPy softmax replicating the exact op sequence of
+matmul per LSTM/GRU timestep, conv-as-matmul for the WCNN, and a NumPy
+softmax replicating the exact op sequence of
 :func:`repro.nn.functional.softmax`.  Each kernel performs bit-for-bit the
 same floating-point operations in the same order as the autograd path, so
-fused and reference probabilities agree exactly (the parity tests assert
-``<= 1e-12``; in practice the outputs are bitwise identical).
+fused and reference probabilities agree exactly (the kernel parity tests
+assert bitwise equality, the model-level ones ``<= 1e-12``).
+
+Where the time goes, and what the kernels do about it:
+
+- the conv gathers its windows with a contiguous ``np.take``, so the
+  im2col matrix is written once and reshaped as a view;
+- the recurrent step loop runs over preallocated buffers: gate
+  activations in one contiguous ``(lanes, B, H)`` array with a single
+  in-place sigmoid pass over its sigmoid lanes, new state swapped in
+  rather than allocated, and masked carry-through only on columns that
+  hold padding;
+- the autograd LSTM/GRU (the gradient path) stop at the last column in
+  which any row is real.  ``embedding_gradient`` keeps padding its single
+  document to ``max_len``: trimming it would change the GEMM row count,
+  and the BLAS result depends on that at the ulp level.
 
 Model classes opt in through :func:`register_fused_kernel`; dispatch
 happens in :meth:`repro.models.base.TextClassifier.predict_proba` whenever
@@ -111,11 +125,18 @@ def softmax_np(logits: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def sigmoid_np(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``Tensor.sigmoid`` semantics: ``1 / (1 + exp(-clip(x, -60, 60)))``."""
-    z = np.clip(x, -60.0, 60.0)
+    """``Tensor.sigmoid`` semantics: ``1 / (1 + exp(-clip(x, -60, 60)))``.
+
+    The clip is spelled ``minimum(maximum(x, -60), 60)``: the same values
+    (NaN included) without ``np.clip``'s Python-level dispatch, which cost
+    as much as the arithmetic on the small per-timestep gate blocks.
+    ``out`` may alias ``x``.
+    """
     if out is None:
-        return 1.0 / (1.0 + np.exp(-z))
-    np.negative(z, out=out)
+        return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -60.0), 60.0)))
+    np.maximum(x, -60.0, out=out)
+    np.minimum(out, 60.0, out=out)
+    np.negative(out, out=out)
     np.exp(out, out=out)
     out += 1.0
     np.divide(1.0, out, out=out)
@@ -141,13 +162,17 @@ def conv1d_np(
     small per-document GEMMs).  The per-output-element dot products run
     over the identical ``h*D`` contraction in the same order, so the
     result stays bitwise equal to the autograd path.
+
+    The windows are gathered with ``np.take``, which writes them straight
+    into a C-ordered array; fancy indexing (``emb[:, win_idx, :]``) returns
+    a strided one that the reshape would copy a second time.
     """
     batch, seq_len, dim = emb.shape
     n_filt = weight.shape[0]
     starts = np.arange(0, seq_len - kernel_size + 1, stride)
     n_win = len(starts)
     win_idx = starts[:, None] + np.arange(kernel_size)[None, :]
-    flat = emb[:, win_idx, :].reshape(batch * n_win, kernel_size * dim)
+    flat = np.take(emb, win_idx, axis=1).reshape(batch * n_win, kernel_size * dim)
     return (flat @ weight.T).reshape(batch, n_win, n_filt) + bias
 
 
@@ -155,6 +180,13 @@ def max_over_time_np(feats: np.ndarray, window_mask: np.ndarray, neg: float = -1
     """Masked max-over-time pooling, matching :class:`repro.nn.layers.MaxOverTime`."""
     penalty = np.where(np.asarray(window_mask, dtype=bool), 0.0, neg)[:, :, None]
     return (feats + penalty).max(axis=1)
+
+
+def _full_columns(mask: np.ndarray | None, seq_len: int) -> np.ndarray:
+    """Per timestep: whether every row is real there (no carry-through needed)."""
+    if mask is None:
+        return np.ones(seq_len, dtype=bool)
+    return np.asarray(mask, dtype=bool).all(axis=0)
 
 
 def lstm_forward_np(
@@ -170,10 +202,18 @@ def lstm_forward_np(
     """Fused LSTM recurrence over ``(B, T, D)``; returns ``(h, c)`` of ``(B, H)``.
 
     One fused gate matmul per timestep (all input projections precomputed in
-    a single batched GEMM), state in preallocated buffers.  The arithmetic
-    mirrors :meth:`repro.nn.rnn.LSTM.forward` operation for operation:
+    a single batched GEMM).  The arithmetic mirrors
+    :meth:`repro.nn.rnn.LSTM.forward` operation for operation:
     ``gates = (x_proj_t + h W_h^T) + b``, sigmoid/tanh splits, masked state
-    carry-through via ``np.where``.
+    carry-through.  Each step writes into preallocated buffers.  The gate
+    activations live in one contiguous ``(4, B, H)`` array ordered i, f, o,
+    g, so the three sigmoid lanes take one in-place sigmoid pass and every
+    later elementwise op runs over whole contiguous blocks, as the
+    reference's fresh arrays do.  The new state goes to a second pair of
+    state buffers that is swapped with the current one.  A column in which
+    every row is real takes the new state as is; any other column merges it
+    with ``np.copyto(..., where=)``, which selects exactly what
+    ``np.where`` would.
 
     ``h0``/``c0`` seed the recurrence from a cached prefix state instead of
     zeros (the recurrence is causal, so restarting at timestep ``p`` with the
@@ -193,23 +233,40 @@ def lstm_forward_np(
     wx_t = w_x.T
     wh_t = w_h.T
     x_proj = (emb.reshape(batch * seq_len, dim) @ wx_t).reshape(batch, seq_len, 4 * hid)
+    full_cols = _full_columns(mask, seq_len)
     gates = np.empty((batch, 4 * hid))
+    lanes = gates.reshape(batch, 4, hid).transpose(1, 0, 2)  # i, f, g, o views
+    act = np.empty((4, batch, hid))
+    sig = act[:3]
+    i, f, o, g = act
+    c_new = np.empty((batch, hid))
+    h_new = np.empty((batch, hid))
+    tmp = np.empty((batch, hid))
     for t in range(seq_len):
         np.matmul(h, wh_t, out=gates)
         gates += x_proj[:, t, :]
         gates += bias
-        i = sigmoid_np(gates[:, :hid])
-        f = sigmoid_np(gates[:, hid : 2 * hid])
-        g = np.tanh(gates[:, 2 * hid : 3 * hid])
-        o = sigmoid_np(gates[:, 3 * hid :])
-        c_new = f * c + i * g
-        h_new = o * np.tanh(c_new)
-        if mask is not None:
-            step = mask[:, t][:, None]
-            c = np.where(step, c_new, c)
-            h = np.where(step, h_new, h)
+        # sigmoid_np over the i, f, o lanes; its lower clip gathers them
+        np.maximum(lanes[:2], -60.0, out=act[:2])
+        np.maximum(lanes[3], -60.0, out=o)
+        np.minimum(sig, 60.0, out=sig)
+        np.negative(sig, out=sig)
+        np.exp(sig, out=sig)
+        sig += 1.0
+        np.divide(1.0, sig, out=sig)
+        np.tanh(lanes[2], out=g)
+        np.multiply(f, c, out=c_new)
+        np.multiply(i, g, out=tmp)
+        c_new += tmp
+        np.tanh(c_new, out=h_new)
+        h_new *= o
+        if full_cols[t]:
+            c, c_new = c_new, c
+            h, h_new = h_new, h
         else:
-            c, h = c_new, h_new
+            step = mask[:, t][:, None]
+            np.copyto(c, c_new, where=step)
+            np.copyto(h, h_new, where=step)
         if state_seq is not None:
             h_seq[:, t + 1] = h
             c_seq[:, t + 1] = c
@@ -229,6 +286,7 @@ def gru_forward_np(
 
     Mirrors :meth:`repro.nn.rnn.GRU.forward`: joint update/reset projection,
     reset-gated candidate, ``h = (1 - z) n + z h`` with masked carry-through.
+    Same buffered step loop as :func:`lstm_forward_np`.
 
     ``h0`` seeds the recurrence from a cached prefix state; ``state_seq`` is
     an optional preallocated ``(B, T + 1, H)`` array receiving the state
@@ -242,19 +300,35 @@ def gru_forward_np(
     wx_t = w_x.T
     wh_t = w_h.T
     x_proj = (emb.reshape(batch * seq_len, dim) @ wx_t).reshape(batch, seq_len, 3 * hid)
+    # (T, 3, B, H) / (3, B, H) views: the z, r, n lanes of each step
+    x_lanes = x_proj.reshape(batch, seq_len, 3, hid).transpose(1, 2, 0, 3)
+    full_cols = _full_columns(mask, seq_len)
     hp = np.empty((batch, 3 * hid))
+    hp_lanes = hp.reshape(batch, 3, hid).transpose(1, 0, 2)
+    b_lanes = bias.reshape(3, 1, hid)
+    zr = np.empty((2, batch, hid))
+    z, r = zr
+    n = np.empty((batch, hid))
+    h_new = np.empty((batch, hid))
+    tmp = np.empty((batch, hid))
     for t in range(seq_len):
-        xp = x_proj[:, t, :]
+        xp = x_lanes[t]
         np.matmul(h, wh_t, out=hp)
-        z = sigmoid_np(xp[:, :hid] + hp[:, :hid] + bias[:hid])
-        r = sigmoid_np(xp[:, hid : 2 * hid] + hp[:, hid : 2 * hid] + bias[hid : 2 * hid])
-        n = np.tanh(xp[:, 2 * hid :] + r * hp[:, 2 * hid :] + bias[2 * hid :])
-        h_new = (1.0 - z) * n + z * h
-        if mask is not None:
-            step = mask[:, t][:, None]
-            h = np.where(step, h_new, h)
+        np.add(xp[:2], hp_lanes[:2], out=zr)
+        zr += b_lanes[:2]
+        sigmoid_np(zr, out=zr)
+        np.multiply(r, hp_lanes[2], out=n)
+        np.add(xp[2], n, out=n)
+        n += b_lanes[2]
+        np.tanh(n, out=n)
+        np.subtract(1.0, z, out=tmp)
+        tmp *= n
+        np.multiply(z, h, out=h_new)
+        np.add(tmp, h_new, out=h_new)
+        if full_cols[t]:
+            h, h_new = h_new, h
         else:
-            h = h_new
+            np.copyto(h, h_new, where=mask[:, t][:, None])
         if state_seq is not None:
             state_seq[:, t + 1] = h
     return h

@@ -22,6 +22,23 @@ from repro.nn.tensor import Tensor, where
 __all__ = ["LSTM", "GRU", "SimpleRNN"]
 
 
+def _live_steps(mask: np.ndarray | None, seq_len: int) -> int:
+    """Timesteps up to the last column in which any row is real.
+
+    Past that column every row carries its state through unchanged, so
+    stopping there gives bitwise the same state and the same gradients,
+    without the Python-level autograd steps (``embedding_gradient`` pads to
+    ``max_len``, so most of its columns are dead).  The input projection
+    stays one GEMM over all ``seq_len`` rows: trimming its row count would
+    change the BLAS blocking and hence the last bits.  An all-padding batch
+    still runs one step, which keeps the output connected to the input.
+    """
+    if mask is None:
+        return seq_len
+    live = np.flatnonzero(np.asarray(mask, dtype=bool).any(axis=0))
+    return int(live[-1]) + 1 if live.size else min(seq_len, 1)
+
+
 class LSTM(Module):
     """Single-layer LSTM over ``(B, T, D)`` inputs.
 
@@ -70,7 +87,7 @@ class LSTM(Module):
         # Pre-compute all input projections in one batched matmul.
         x_proj = x.reshape(batch * seq_len, dim) @ wx_t
         x_proj = x_proj.reshape(batch, seq_len, 4 * hid)
-        for t in range(seq_len):
+        for t in range(_live_steps(mask, seq_len)):
             gates = x_proj[:, t, :] + h @ wh_t + self.bias
             i = gates[:, :hid].sigmoid()
             f = gates[:, hid : 2 * hid].sigmoid()
@@ -114,7 +131,7 @@ class GRU(Module):
         wh_t = self.w_h.transpose()
         x_proj = x.reshape(batch * seq_len, dim) @ wx_t
         x_proj = x_proj.reshape(batch, seq_len, 3 * hid)
-        for t in range(seq_len):
+        for t in range(_live_steps(mask, seq_len)):
             xp = x_proj[:, t, :]
             hp = h @ wh_t
             z = (xp[:, :hid] + hp[:, :hid] + self.bias[:hid]).sigmoid()

@@ -375,7 +375,8 @@ class Tensor:
         return Tensor._make(data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
-        data = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60.0, 60.0)))
+        # clip(x, -60, 60) without np.clip's Python-level dispatch
+        data = 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(self.data, -60.0), 60.0)))
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * data * (1.0 - data))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.attacks import ObjectiveGreedyWordAttack
+from repro.data.lexicon import sentiment_lexicon
 from repro.defense.smoothing import SmoothedClassifier
 
 
@@ -69,3 +70,60 @@ class TestSmoothingAsDefense:
         smooth_wins = sum(smooth_attack.attack(d, t).success for d, t in attackable_docs)
         # smoothing should not make the attack strictly easier
         assert smooth_wins <= base_wins + 1
+
+
+class _RecordingModel:
+    """Stands in for the victim and records the ensemble it is asked to score."""
+
+    vocab = None
+    max_len = 0
+    embedding = None
+
+    def __init__(self):
+        self.seen = []
+
+    def predict_proba(self, docs, batch_size=128):
+        self.seen.append([" ".join(d) for d in docs])
+        return np.tile([0.5, 0.5], (len(docs), 1))
+
+
+PIN_DOCS = [
+    "the food was great and the service was friendly but slow".split(),
+    "we visited the place for dinner , the pizza was bland and overpriced".split(),
+]
+
+# Frozen ensembles (n_samples=4, substitution_prob=0.4) for PIN_DOCS.  A
+# refactor of the sampler must keep the RNG draws in this order: one
+# ``rng.random()`` per synonym-bearing slot, then one ``rng.integers`` when
+# that slot is substituted.
+PINNED_ENSEMBLES = {
+    0: [
+        "the food was great and the service was friendly but slow",
+        "the dish was marvelous and the service was friendly but unhurried",
+        "the cuisine was great and the service was courteous but slow",
+        "the food was superb and the service was friendly but slow",
+        "we visited the place for dinner , the pizza was bland and overpriced",
+        "we visited the place for dinner , the pasta was bland and costly",
+        "we visited the venue for dinner , the pizza was bland and overpriced",
+        "we stopped the place for dinner , the burger was unseasoned and costly",
+    ],
+    3: [
+        "the food was great and the service was friendly but slow",
+        "the food was great and the service was welcoming but slow",
+        "the food was superb and the staff was welcoming but slow",
+        "the food was great and the waiters was friendly but dawdling",
+        "we visited the place for dinner , the pizza was bland and overpriced",
+        "we stopped the place for dinner , the pizza was flavorless and costly",
+        "we stopped the place for dinner , the pizza was flavorless and overpriced",
+        "we visited the place for lunch , the pizza was tasteless and overpriced",
+    ],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_ENSEMBLES))
+def test_ensemble_rng_stream_pinned(seed):
+    model = _RecordingModel()
+    SmoothedClassifier(
+        model, sentiment_lexicon(), n_samples=4, substitution_prob=0.4, seed=seed
+    ).predict_proba(PIN_DOCS)
+    assert model.seen == [PINNED_ENSEMBLES[seed]]

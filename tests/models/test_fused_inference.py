@@ -11,7 +11,15 @@ import pytest
 
 from repro.models import GRUClassifier, TrainConfig, fit
 from repro.models.wcnn import WCNN
-from repro.nn.inference import fused_kernel_for, register_fused_kernel, softmax_np
+from repro.nn.inference import (
+    conv1d_np,
+    fused_kernel_for,
+    gru_forward_np,
+    lstm_forward_np,
+    register_fused_kernel,
+    softmax_np,
+)
+from repro.nn.tensor import Tensor, no_grad
 
 TOL = 1e-12
 
@@ -150,9 +158,65 @@ class TestDispatchRules:
 
 def test_softmax_np_matches_functional():
     from repro.nn.functional import softmax
-    from repro.nn.tensor import Tensor
 
     rng = np.random.default_rng(0)
     logits = rng.normal(scale=4.0, size=(7, 3))
     expected = softmax(Tensor(logits), axis=-1).data
     np.testing.assert_array_equal(softmax_np(logits), expected)
+
+
+@pytest.mark.parametrize(
+    "batch, seq_len, dim, kernel_size, stride",
+    [(128, 60, 16, 3, 1), (1, 3, 8, 3, 1), (5, 17, 12, 4, 2), (3, 10, 6, 1, 1)],
+)
+def test_conv1d_np_matches_strided_gather_bitwise(batch, seq_len, dim, kernel_size, stride):
+    rng = np.random.default_rng(batch + seq_len)
+    emb = rng.normal(size=(batch, seq_len, dim))
+    weight = rng.normal(size=(24, kernel_size * dim))
+    bias = rng.normal(size=24)
+    # the im2col formula before the contiguous ``np.take`` gather
+    starts = np.arange(0, seq_len - kernel_size + 1, stride)
+    win_idx = starts[:, None] + np.arange(kernel_size)[None, :]
+    flat = emb[:, win_idx, :].reshape(batch * len(starts), kernel_size * dim)
+    expected = (flat @ weight.T).reshape(batch, len(starts), 24) + bias
+    np.testing.assert_array_equal(
+        conv1d_np(emb, weight, bias, kernel_size, stride), expected
+    )
+
+
+def recurrent_batch(shape, vocab, docs):
+    """(ids, mask) for one of four batch shapes, trimmed to its longest row."""
+    if shape == "all_real":
+        shortest = min(len(d) for d in docs[:6])
+        batch = [d[:shortest] for d in docs[:6]]
+    elif shape == "ragged":
+        batch = docs[:12]
+    elif shape == "single_row":
+        batch = docs[:1]
+    else:  # length_one
+        batch = [[vocab.word(2)], [vocab.word(3)], [vocab.word(4)]]
+    return vocab.encode_batch(batch, max(len(d) for d in batch))
+
+
+@pytest.mark.parametrize("shape", ["all_real", "ragged", "single_row", "length_one"])
+def test_fused_recurrences_match_autograd_bitwise(
+    shape, trained_lstm, trained_gru, tiny_vocab, tiny_corpus
+):
+    ids, mask = recurrent_batch(shape, tiny_vocab, tiny_corpus.documents("test"))
+    if shape == "all_real":
+        assert mask.all()
+    elif shape == "ragged":
+        assert not mask.all()
+    cases = [
+        (trained_lstm, trained_lstm.lstm, lstm_forward_np),
+        (trained_gru, trained_gru.gru, gru_forward_np),
+    ]
+    for model, rnn, kernel in cases:
+        emb = model.embedding.weight.data[ids]
+        with no_grad():
+            reference = rnn(Tensor(emb), mask=mask)
+        fused = kernel(emb, mask, rnn.w_x.data, rnn.w_h.data, rnn.bias.data)
+        if not isinstance(fused, tuple):  # GRU: hidden state only
+            fused, reference = (fused,), (reference,)
+        for got, want in zip(fused, reference):
+            np.testing.assert_array_equal(got, want.data)
