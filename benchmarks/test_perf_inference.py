@@ -20,23 +20,14 @@ trajectory:
    path): the acceptance bars are a ≥2× reduction in paid model forwards
    AND a ≥2× single-thread wall-time speedup, at no loss in attack
    success.
-4. **Parallel corpus runner + scoring service** — the same fast attack
-   sharded across forked workers via
-   :class:`~repro.eval.parallel.ParallelAttackRunner`, with and without
-   the shared-memory scoring service
-   (:mod:`repro.eval.scoring_service`).  A ``docs_per_second`` series is
-   recorded per worker count (1/2/4, service off/on) together with the
-   machine's CPU count; on a single-core container the multi-worker
+4. **Parallel corpus runner** — the same fast attack sharded across
+   forked workers via :class:`~repro.eval.parallel.ParallelAttackRunner`.
+   A ``docs_per_second`` series is recorded per worker count (1/2/4)
+   together with the machine's CPU count; on a single-core container the multi-worker
    numbers honestly sit at/below serial, and the regression test
    (``tests/eval/test_bench_scaling.py``) only requires pooled ≥ serial
    when the recorded CPU count can deliver it.  Results must be identical
    to the serial run in every configuration.
-5. **Incremental delta scoring** — the same fast joint greedy attack with
-   :class:`~repro.nn.delta.DeltaScoreFn` installed: single-edit
-   candidates are scored through the windowed-conv delta kernel instead
-   of full forwards.  The acceptance bar is a ≥2× further reduction in
-   forward FLOP-equivalents (conv-window units) over the CELF fast
-   configuration, at byte-identical adversarial documents and success.
 """
 
 import os
@@ -48,7 +39,6 @@ import numpy as np
 from benchmarks.conftest import run_once
 from repro.eval.parallel import fork_available
 from repro.eval.perf import PerfRecorder, write_bench_json
-from repro.nn.delta import DeltaScoreFn
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_PATH = REPO_ROOT / "BENCH_inference.json"
@@ -195,96 +185,39 @@ def test_inference_perf(benchmark, ctx):
         metrics["attack_success_naive"] = (naive["successes"] / N_DOCS, "rate")
         metrics["attack_success_fast"] = (fast["successes"] / N_DOCS, "rate")
 
-        # -- part 3: parallel corpus runner + scoring service ----------------
-        # docs/s series per worker count, scoring service off and on, so
-        # BENCH records the actual scaling curve instead of one opaque
-        # speedup scalar.  On a 1-CPU container the multi-worker numbers
-        # honestly sit at/below serial; the regression test only demands
-        # scaling where the hardware can deliver it (cpu_count >= 2).
+        # -- part 3: parallel corpus runner ---------------------------------
+        # docs/s series per worker count, so BENCH records the actual
+        # scaling curve instead of one opaque speedup scalar.  On a 1-CPU
+        # container the multi-worker numbers honestly sit at/below serial;
+        # the regression test only demands scaling where the hardware can
+        # deliver it (cpu_count >= 2).
         attack = ctx.make_attack(
             "joint-greedy", wcnn, DATASET, strategy="lazy", use_cache=True
         )
         cpus = os.cpu_count() or 1
         metrics["parallel_runner_cpu_count"] = (float(cpus), "cpus")
         worker_counts = (1, 2, 4) if fork_available() else (1,)
-        reference = None  # serial legacy adversarial docs
-        service_reference = None  # service-backed run, any worker count
-        for service_on in (False, True):
-            for workers in worker_counts:
-                runner = ctx.attack_runner(
-                    attack, n_workers=workers, scoring_service=service_on
-                )
-                start = time.perf_counter()
-                results = runner.run(attack_docs, targets)
-                elapsed = time.perf_counter() - start
-                adversarial = [tuple(r.adversarial) for r in results]
-                if not service_on:
-                    if reference is None:
-                        reference = adversarial
-                    assert adversarial == reference, (
-                        f"pooled run ({workers} workers) must reproduce the "
-                        f"serial results exactly"
-                    )
-                else:
-                    if service_reference is None:
-                        service_reference = adversarial
-                    assert adversarial == service_reference, (
-                        f"service-backed runs must be identical at every "
-                        f"worker count (diverged at {workers})"
-                    )
-                    assert adversarial == reference, (
-                        "service-backed adversarial documents must match the "
-                        "legacy path"
-                    )
-                suffix = "_service" if service_on else ""
-                metrics[f"parallel_runner_docs_per_second_{workers}w{suffix}"] = (
-                    N_DOCS / elapsed,
-                    "docs/s",
-                )
-        # -- part 4: incremental delta scoring on the fast joint greedy ------
-        # same fast configuration, but single-edit candidates go through
-        # the windowed-conv delta kernel; the reduction is measured in
-        # forward FLOP-equivalents (conv-window units), the quantity the
-        # kernel actually saves, independent of interpreter overhead
-        delta_fn = DeltaScoreFn.for_model(wcnn)
-        assert delta_fn is not None
-        attack_delta = ctx.make_attack(
-            "joint-greedy", wcnn, DATASET, strategy="lazy", use_cache=True
-        )
-        prev_fused = wcnn.fused_inference
-        wcnn.fused_inference = True
-        attack_delta.set_score_fn(delta_fn)
-        try:
+        reference = None  # serial adversarial docs
+        for workers in worker_counts:
+            runner = ctx.attack_runner(attack, n_workers=workers)
             start = time.perf_counter()
-            delta_results = [
-                attack_delta.attack(d, t) for d, t in zip(attack_docs, targets)
-            ]
-            delta_seconds = time.perf_counter() - start
-        finally:
-            attack_delta.set_score_fn(None)
-            wcnn.fused_inference = prev_fused
-        assert [tuple(r.adversarial) for r in delta_results] == fast["adversarial"], (
-            "delta scoring must not change a single adversarial document"
-        )
-        assert sum(r.success for r in delta_results) == fast["successes"]
-        assert sum(r.n_queries for r in delta_results) == fast["queries"]
-        stats = delta_fn.stats
-        delta_reduction = delta_fn.forward_reduction()
-        # fraction of per-candidate window work served from the cached
-        # prefix/suffix pooled maxima instead of recomputed
-        suffix_fraction = 1.0 - stats["delta_units"] / max(
-            stats["delta_units_full"], 1e-12
-        )
-        metrics["delta_forward_reduction"] = (delta_reduction, "x")
-        metrics["delta_suffix_fraction"] = (suffix_fraction, "fraction")
-        metrics["delta_candidates"] = (stats["delta_candidates"], "candidates")
-        metrics["delta_state_builds"] = (stats["state_builds"], "builds")
-        metrics["delta_seconds"] = (delta_seconds, "s")
-        metrics["delta_wall_speedup"] = (fast["seconds"] / delta_seconds, "x")
+            results = runner.run(attack_docs, targets)
+            elapsed = time.perf_counter() - start
+            adversarial = [tuple(r.adversarial) for r in results]
+            if reference is None:
+                reference = adversarial
+            assert adversarial == reference, (
+                f"pooled run ({workers} workers) must reproduce the "
+                f"serial results exactly"
+            )
+            metrics[f"parallel_runner_docs_per_second_{workers}w"] = (
+                N_DOCS / elapsed,
+                "docs/s",
+            )
 
-        return metrics, naive, fast, reduction, fused_speedup, wall_speedup, delta_reduction
+        return metrics, naive, fast, reduction, fused_speedup, wall_speedup
 
-    metrics, naive, fast, reduction, fused_speedup, wall_speedup, delta_reduction = run_once(
+    metrics, naive, fast, reduction, fused_speedup, wall_speedup = run_once(
         benchmark, run
     )
     payload = write_bench_json(BENCH_PATH, metrics)
@@ -314,8 +247,4 @@ def test_inference_perf(benchmark, ctx):
     assert fused_speedup > 1.05, (
         f"fused kernels must beat the autograd reference on candidate "
         f"batches (got {fused_speedup:.2f}x)"
-    )
-    assert delta_reduction >= 2.0, (
-        f"delta scoring must at least halve forward FLOP-equivalents over "
-        f"the CELF fast configuration (got {delta_reduction:.2f}x)"
     )

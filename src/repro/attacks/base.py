@@ -186,11 +186,6 @@ class Attack:
       direct ``attack()`` calls self-open one via ``tracer.next_index()``;
     - ``profiler`` — a :class:`~repro.obs.spans.PhaseProfiler` whose
       spans time the forward / candidate-gen / greedy-select phases.
-
-    ``score_fn`` (a *ScoreBatchFn*, ``docs -> (n, C) probabilities``)
-    reroutes the scoring forwards of :meth:`_score_batch` — e.g. to the
-    shared scoring service of :mod:`repro.eval.scoring_service` — while
-    gradients and the final verdict forward stay on the local model.
     """
 
     name = "attack"
@@ -200,7 +195,6 @@ class Attack:
     tracer = None
     profiler = None
     _trace = None
-    score_fn = None
 
     def __init__(
         self,
@@ -218,7 +212,6 @@ class Attack:
         self.tracer = None
         self.profiler = None
         self._trace = None
-        self.score_fn = None
 
     def reseed(self, seed: int) -> None:
         """Reset every RNG stream this attack owns to a function of ``seed``.
@@ -241,17 +234,6 @@ class Attack:
         for value in vars(self).values():
             if isinstance(value, Attack) and value is not self:
                 value.set_profiler(profiler)
-
-    def set_score_fn(self, score_fn) -> None:
-        """Attach (or with ``None`` detach) a scoring-forward override.
-
-        Recurses into sub-attacks (the joint attack's stages) so every
-        ``_score_batch`` in the composition routes the same way.
-        """
-        self.score_fn = score_fn
-        for value in vars(self).values():
-            if isinstance(value, Attack) and value is not self:
-                value.set_score_fn(score_fn)
 
     def _span(self, name: str):
         """Profiler span context, or a no-op when no profiler is attached."""
@@ -278,58 +260,21 @@ class Attack:
         return not getattr(self.model, "inference_dropout", 0.0)
 
     # -- model access with query accounting --------------------------------
-    def _predict_proba(
-        self, docs: list[list[str]], base: list[str] | None = None
-    ) -> np.ndarray:
-        """Scoring forward: the attached ``score_fn``, else the local model.
-
-        ``base`` is the incumbent document the candidates are single-edit
-        variants of; it is forwarded only to score functions advertising
-        ``accepts_base`` (the delta scorer, the delta-aware service client),
-        which use it to score candidates incrementally.  Plain score
-        functions and the local model ignore it.
-        """
-        fn = self.score_fn
-        if fn is not None:
-            if base is not None and getattr(fn, "accepts_base", False):
-                return fn(docs, base=base)
-            return fn(docs)
-        return self.model.predict_proba(docs)
-
-    def _delta_trace_fields(self) -> dict:
-        """Extra ``forward``-event fields from a delta-aware score function."""
-        pop = getattr(self.score_fn, "pop_stats", None)
-        if pop is None:
-            return {}
-        return pop() or {}
-
-    def _score_batch(
-        self,
-        docs: list[list[str]],
-        target_label: int,
-        base: list[str] | None = None,
-    ) -> list[float]:
-        """``C_y`` for a batch of candidate documents (deduped + memoized).
-
-        ``base`` (optional) is the incumbent the candidates were derived
-        from; see :meth:`_predict_proba`.  Delta-scored candidates still
-        count as paid forwards in ``n_queries`` — incremental evaluation
-        changes what a query *costs*, not how many are accounted.
-        """
+    def _score_batch(self, docs: list[list[str]], target_label: int) -> list[float]:
+        """``C_y`` for a batch of candidate documents (deduped + memoized)."""
         if not docs:
             return []
         cache = self._cache
         if cache is None:
             self._queries += len(docs)
             with self._span("forward"):
-                probs = self._predict_proba(docs, base=base)
+                probs = self.model.predict_proba(docs)
             self._trace_event(
                 "forward",
                 op="score",
                 n_docs=len(docs),
                 n_forwards=len(docs),
                 n_cache_hits=0,
-                **self._delta_trace_fields(),
             )
             return probs[:, target_label].tolist()
         # order-preserving dedup of the request, then forward only misses
@@ -344,11 +289,9 @@ class Attack:
                 missing.append(key)
             else:
                 scores[key] = cached
-        delta_fields: dict = {}
         if missing:
             with self._span("forward"):
-                probs = self._predict_proba([unique[key] for key in missing], base=base)
-            delta_fields = self._delta_trace_fields()
+                probs = self.model.predict_proba([unique[key] for key in missing])
             self._queries += len(missing)
             for key, p in zip(missing, probs[:, target_label].tolist()):
                 cache.put(key, p)
@@ -361,7 +304,6 @@ class Attack:
             n_docs=len(docs),
             n_forwards=len(missing),
             n_cache_hits=served,
-            **delta_fields,
         )
         if served:
             self._trace_event("cache_hit", n_hits=served)

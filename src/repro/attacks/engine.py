@@ -61,7 +61,6 @@ class AttackEngine(Attack):
         use_cache: bool = True,
         cache_max_entries: int | None = None,
         max_queries: int | None = None,
-        score_fn=None,
     ) -> None:
         super().__init__(model, use_cache=use_cache, cache_max_entries=cache_max_entries)
         if max_queries is not None and max_queries < 1:
@@ -69,8 +68,6 @@ class AttackEngine(Attack):
         self.source = source
         self.search = search
         self.max_queries = max_queries
-        if score_fn is not None:
-            self.score_fn = score_fn
         if name is not None:
             self.name = name
 
@@ -106,29 +103,14 @@ class AttackEngine(Attack):
         scores = self._score_batch([list(tokens)], target_label)
         return scores[0] if scores else 0.0
 
-    def score_batch(
-        self,
-        docs: list[list[str]],
-        target_label: int,
-        base: list[str] | None = None,
-    ) -> list[float]:
-        """``C_y`` for a batch — deduped, cached, counted, traced.
+    def score_batch(self, docs: list[list[str]], target_label: int) -> list[float]:
+        """``C_y`` for a batch — deduped, cached, counted, traced."""
+        return self._score_batch(docs, target_label)
 
-        Search strategies pass ``base`` (the incumbent the candidates are
-        edits of) so a delta-aware score function can evaluate single-edit
-        candidates incrementally instead of with full forwards.
-        """
-        return self._score_batch(docs, target_label, base=base)
-
-    def _score_batch(
-        self,
-        docs: list[list[str]],
-        target_label: int,
-        base: list[str] | None = None,
-    ) -> list[float]:
+    def _score_batch(self, docs: list[list[str]], target_label: int) -> list[float]:
         if self.max_queries is not None and docs:
             docs = self._truncate_to_budget(docs, target_label)
-        return super()._score_batch(docs, target_label, base=base)
+        return super()._score_batch(docs, target_label)
 
     def _truncate_to_budget(
         self, docs: list[list[str]], target_label: int

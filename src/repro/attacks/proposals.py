@@ -457,7 +457,7 @@ class GumbelSource(CandidateSource):
             for j in probe_positions
         ]
         base = engine.score(list(doc), target_label)
-        probe_scores = engine.score_batch(probes, target_label, base=list(doc))
+        probe_scores = engine.score_batch(probes, target_label)
         gains = {j: s - base for j, s in zip(probe_positions, probe_scores)}
         prior = float(np.mean(list(gains.values()))) if gains else 0.0
         logits = (

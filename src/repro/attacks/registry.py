@@ -43,22 +43,6 @@ class AttackSpec:
     (``"word"`` / ``"sentence"``); ``params`` the constructor keywords it
     forwards.  Callers like :meth:`ExperimentContext.make_attack` use both
     to assemble arguments declaratively instead of per-attack branches.
-
-    ``delta`` declares how this source × strategy combination benefits from
-    incremental delta scoring (``REPRO_DELTA_SCORING``, :mod:`repro.nn.delta`):
-
-    - ``"yes"`` — candidate scoring is single-edit against an incumbent
-      base, so the whole search runs incrementally;
-    - ``"word-stage"`` — staged pipeline whose word stage is delta-scored
-      while length-changing sentence candidates take full forwards;
-    - ``"equal-len"`` — delta applies only when a candidate happens to
-      keep the token count (rare for sentence paraphrases);
-    - ``"no"`` — the strategy does no candidate scoring (first-order,
-      random), so there is nothing to score incrementally.
-
-    Enabling delta scoring is always safe regardless of this value — the
-    score function falls back to full forwards per candidate; the field
-    is advisory (surfaced by the ``list-attacks`` CLI).
     """
 
     name: str
@@ -69,7 +53,6 @@ class AttackSpec:
     builder: Callable[..., Attack]
     needs: tuple[str, ...] = ("word",)
     params: tuple[str, ...] = field(default_factory=tuple)
-    delta: str = "no"  # delta-scoring eligibility: yes | word-stage | equal-len | no
 
 
 # -- builders (module-level for picklability) -------------------------------
@@ -227,7 +210,6 @@ ATTACKS: dict[str, AttackSpec] = {
         builder=_build_greedy_word,
         needs=("word",),
         params=_COMMON + ("strategy",),
-        delta="yes",
     ),
     "lazy_greedy_word": AttackSpec(
         name="lazy_greedy_word",
@@ -238,7 +220,6 @@ ATTACKS: dict[str, AttackSpec] = {
         builder=_build_lazy_greedy_word,
         needs=("word",),
         params=_COMMON,
-        delta="yes",
     ),
     "greedy_sentence": AttackSpec(
         name="greedy_sentence",
@@ -249,7 +230,6 @@ ATTACKS: dict[str, AttackSpec] = {
         builder=_build_greedy_sentence,
         needs=("sentence",),
         params=("sentence_budget_ratio", "tau", "strategy", "use_cache", "cache_max_entries"),
-        delta="equal-len",
     ),
     "gradient_guided": AttackSpec(
         name="gradient_guided",
@@ -260,7 +240,6 @@ ATTACKS: dict[str, AttackSpec] = {
         builder=_build_gradient_guided,
         needs=("word",),
         params=_COMMON + ("words_per_iteration", "selection"),
-        delta="yes",
     ),
     "gradient_word": AttackSpec(
         name="gradient_word",
@@ -271,7 +250,6 @@ ATTACKS: dict[str, AttackSpec] = {
         builder=_build_gradient_word,
         needs=("word",),
         params=("word_budget_ratio", "iterations"),
-        delta="no",
     ),
     "random_word": AttackSpec(
         name="random_word",
@@ -282,7 +260,6 @@ ATTACKS: dict[str, AttackSpec] = {
         builder=_build_random_word,
         needs=("word",),
         params=("word_budget_ratio", "seed"),
-        delta="no",
     ),
     "beam_word": AttackSpec(
         name="beam_word",
@@ -293,7 +270,6 @@ ATTACKS: dict[str, AttackSpec] = {
         builder=_build_beam_word,
         needs=("word",),
         params=_COMMON + ("beam_width",),
-        delta="yes",
     ),
     "charflip_greedy": AttackSpec(
         name="charflip_greedy",
@@ -304,7 +280,6 @@ ATTACKS: dict[str, AttackSpec] = {
         builder=_build_charflip_greedy,
         needs=(),
         params=("word_budget_ratio", "tau", "strategy", "use_cache", "cache_max_entries"),
-        delta="yes",
     ),
     "joint": AttackSpec(
         name="joint",
@@ -323,7 +298,6 @@ ATTACKS: dict[str, AttackSpec] = {
             "use_cache",
             "cache_max_entries",
         ),
-        delta="word-stage",
     ),
     "gumbel_word": AttackSpec(
         name="gumbel_word",
@@ -334,7 +308,6 @@ ATTACKS: dict[str, AttackSpec] = {
         builder=_build_gumbel_word,
         needs=("word",),
         params=_COMMON + ("n_probes", "temperature", "keep_ratio", "seed", "max_queries"),
-        delta="yes",
     ),
     "pso_word": AttackSpec(
         name="pso_word",
@@ -346,7 +319,6 @@ ATTACKS: dict[str, AttackSpec] = {
         needs=("word",),
         params=_COMMON
         + ("n_particles", "iterations", "inertia", "cognitive", "mutation_rate", "seed", "max_queries"),
-        delta="yes",
     ),
     "heuristic_saliency": AttackSpec(
         name="heuristic_saliency",
@@ -357,7 +329,6 @@ ATTACKS: dict[str, AttackSpec] = {
         builder=_build_heuristic_saliency,
         needs=("word",),
         params=_COMMON + ("candidate_rule", "max_queries"),
-        delta="yes",
     ),
     "joint_greedy": AttackSpec(
         name="joint_greedy",
@@ -375,7 +346,6 @@ ATTACKS: dict[str, AttackSpec] = {
             "use_cache",
             "cache_max_entries",
         ),
-        delta="word-stage",
     ),
 }
 

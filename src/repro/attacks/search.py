@@ -106,9 +106,7 @@ class GreedySearch(SearchStrategy):
             states = [proposal.apply(state, j, move) for j, move in moves]
             candidates = [proposal.tokens(s) for s in states]
             with engine.span("greedy-select"):
-                scores = engine.score_batch(
-                    candidates, target_label, base=proposal.tokens(state)
-                )
+                scores = engine.score_batch(candidates, target_label)
                 if not scores:  # budget truncated the whole batch
                     break
                 best = max(range(len(scores)), key=scores.__getitem__)
@@ -177,7 +175,6 @@ class LazyGreedySearch(SearchStrategy):
                     for i in admissible
                 ],
                 target_label,
-                base=proposal.tokens(state),
             )
             heap = LazyMarginalHeap()
             heap.push_all((i, s - score) for i, s in zip(admissible, scores))
@@ -203,9 +200,7 @@ class LazyGreedySearch(SearchStrategy):
                 ):
                     return None  # position consumed / move already applied
                 candidate = proposal.tokens(proposal.apply(state, j, move))
-                fresh = engine.score_batch(
-                    [candidate], target_label, base=proposal.tokens(state)
-                )
+                fresh = engine.score_batch([candidate], target_label)
                 if not fresh:  # budget exhausted mid-select
                     return None
                 return fresh[0] - score
@@ -287,11 +282,7 @@ class BeamSearch(SearchStrategy):
                 break
             docs = [proposal.tokens(proposal.apply_many(origin, subs)) for subs in candidates]
             with engine.span("greedy-select"):
-                # multi-position beam candidates still share one origin: a
-                # delta scorer sees one (possibly wide) edit span per doc
-                scores = engine.score_batch(
-                    docs, target_label, base=proposal.tokens(origin)
-                )
+                scores = engine.score_batch(docs, target_label)
                 if not scores:  # budget truncated the whole batch
                     break
                 ranked = sorted(zip(scores, candidates), key=lambda sc: -sc[0])
@@ -445,7 +436,7 @@ class ParticleSwarmSearch(SearchStrategy):
                 break
             docs = [proposal.tokens(proposal.apply_many(state, p)) for p in particles]
             with engine.span("greedy-select"):
-                scores = engine.score_batch(docs, target_label, base=base_tokens)
+                scores = engine.score_batch(docs, target_label)
             if not scores:  # budget truncated the whole batch
                 break
             previous_best = best_score
@@ -534,9 +525,7 @@ class HeuristicRankSearch(SearchStrategy):
             proposal.tokens(proposal.apply(state, j, self.mask_token)) for j in positions
         ]
         with engine.span("greedy-select"):
-            saliency_scores = engine.score_batch(
-                masked, target_label, base=proposal.tokens(state)
-            )
+            saliency_scores = engine.score_batch(masked, target_label)
         saliency = {j: s - score for j, s in zip(positions, saliency_scores)}
         ranked = sorted(saliency, key=lambda j: (-saliency[j], j))
         # pass 2 — replace in rank order, one visit per position
@@ -556,9 +545,7 @@ class HeuristicRankSearch(SearchStrategy):
                 candidates = [proposal.apply(state, j, m) for m in moves]
                 with engine.span("greedy-select"):
                     scores = engine.score_batch(
-                        [proposal.tokens(c) for c in candidates],
-                        target_label,
-                        base=proposal.tokens(state),
+                        [proposal.tokens(c) for c in candidates], target_label
                     )
                 if not scores:  # budget truncated the whole batch
                     break
@@ -568,11 +555,7 @@ class HeuristicRankSearch(SearchStrategy):
             else:  # first improving candidate
                 for n_tried, move in enumerate(moves, start=1):
                     candidate = proposal.apply(state, j, move)
-                    scores = engine.score_batch(
-                        [proposal.tokens(candidate)],
-                        target_label,
-                        base=proposal.tokens(state),
-                    )
+                    scores = engine.score_batch([proposal.tokens(candidate)], target_label)
                     if not scores:
                         break
                     if scores[0] > score + 1e-12:
@@ -742,9 +725,7 @@ class GaussSouthwellSearch(SearchStrategy):
             candidates = [proposal.apply_many(current, subs) for subs in frontier]
             with engine.span("greedy-select"):
                 scores = engine.score_batch(
-                    [proposal.tokens(c) for c in candidates],
-                    target_label,
-                    base=proposal.tokens(current),
+                    [proposal.tokens(c) for c in candidates], target_label
                 )
                 if not scores:  # budget truncated the whole batch
                     break
@@ -800,9 +781,7 @@ class GaussSouthwellSearch(SearchStrategy):
                 break
             trial = {p: w for p, w in kept.items() if p != pos}
             trial_scores = engine.score_batch(
-                [apply_word_substitutions(current, trial)],
-                target_label,
-                base=list(current),
+                [apply_word_substitutions(current, trial)], target_label
             )
             if not trial_scores:  # budget exhausted mid-prune
                 break

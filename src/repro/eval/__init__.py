@@ -24,15 +24,6 @@ from repro.eval.parallel import (
     resolve_num_workers,
 )
 from repro.eval.perf import BucketStats, PerfRecorder, read_bench_json, write_bench_json
-from repro.eval.scoring_service import (
-    ScoringService,
-    ScoringServiceError,
-    ServiceClient,
-    ServicePolicy,
-    ServiceScoreFn,
-    SharedWeightArena,
-    scoring_service_enabled,
-)
 from repro.eval.progress import Heartbeat, HeartbeatMonitor, ProgressPrinter
 from repro.eval.reporting import (
     format_markdown_table,
@@ -53,13 +44,6 @@ __all__ = [
     "PerfRecorder",
     "fork_available",
     "resolve_num_workers",
-    "ScoringService",
-    "ScoringServiceError",
-    "ServiceClient",
-    "ServicePolicy",
-    "ServiceScoreFn",
-    "SharedWeightArena",
-    "scoring_service_enabled",
     "RunJournal",
     "JournalError",
     "JournalMismatchError",

@@ -127,8 +127,6 @@ def evaluate_attack(
     progress=None,
     trace_dir: str | os.PathLike | None = None,
     trace_every_n: int | None = None,
-    scoring_service=None,
-    delta_scoring: bool | None = None,
     telemetry: TelemetryServer | None = None,
     telemetry_port: int | None = None,
 ) -> AttackEvaluation:
@@ -152,14 +150,6 @@ def evaluate_attack(
     and ``metrics.json`` into that directory; ``trace_every_n`` samples
     the traces (every n-th document, default 1 via
     ``REPRO_TRACE_EVERY_N``).
-
-    ``scoring_service`` routes scoring forwards through the shared
-    scoring service (see :class:`~repro.eval.parallel.ParallelAttackRunner`);
-    ``None`` defers to ``REPRO_SCORING_SERVICE``.
-
-    ``delta_scoring`` scores single-edit candidates incrementally
-    (:mod:`repro.nn.delta`; bitwise identical results); ``None`` defers
-    to ``REPRO_DELTA_SCORING``.
 
     ``telemetry`` attaches a caller-owned (typically
     :class:`~repro.experiments.common.ExperimentContext`-owned)
@@ -229,7 +219,7 @@ def evaluate_attack(
 
     def _live_snapshot() -> dict:
         # the run's own counters plus the shared context registry (phase
-        # spans, forward batches, delta units) merged flat — the view the
+        # spans, forward batches) merged flat — the view the
         # series and every exporter endpoint serve.  Called from sampler /
         # HTTP threads while the run mutates both registries; the sampler
         # and the exporter tolerate a raced snapshot (skip / 500), so no
@@ -307,9 +297,6 @@ def evaluate_attack(
                 n_workers=n_workers,
                 base_seed=seed,
                 on_result=on_result,
-                scoring_service=scoring_service,
-                delta_scoring=delta_scoring,
-                series_dir=trace_dir,
             )
             outcomes = runner.run(
                 [doc for _, _, doc, _ in todo],
@@ -323,7 +310,7 @@ def evaluate_attack(
             sampler.stop()
     monitor.finish()
     if sampler is not None:
-        # after the last worker/service snapshot merge, so the series'
+        # after the last worker snapshot merge, so the series'
         # final point reconciles exactly with metrics.json
         sampler.close()
     if server is not None:

@@ -8,7 +8,8 @@ processes:
 
 - **fork-shared weights** — workers are created with the ``fork`` start
   method, so the victim's parameter arrays are shared copy-on-write and
-  nothing model-sized is ever pickled;
+  nothing model-sized is ever pickled; each worker scores its own
+  documents in-process through ``model.predict_proba``;
 - **per-document seeded RNG** — before each document the worker calls
   :meth:`repro.attacks.base.Attack.reseed` with a seed derived from the
   document *index*, so results are identical for 1 and N workers no matter
@@ -49,24 +50,6 @@ processes:
   runner degrades to an in-process loop with the same reseeding and error
   isolation, so results never depend on the platform.
 
-- **shared scoring service** — with ``REPRO_SCORING_SERVICE=1`` (or
-  ``scoring_service=True``) the runner starts one
-  :class:`~repro.eval.scoring_service.ScoringService` per run: model
-  weights live in a shared-memory arena, and every worker's deterministic
-  scoring forwards are merged across documents into large length-bucketed
-  GEMMs in a single service process.  Service-backed runs are bitwise
-  identical for any worker count; a service that dies mid-run degrades
-  through the same blame-narrowing recovery as a worker crash.
-
-- **incremental delta scoring** — with ``REPRO_DELTA_SCORING=1`` (or
-  ``delta_scoring=True``) each worker scores single-edit candidates
-  incrementally (:mod:`repro.nn.delta`): recurrent victims re-run only
-  the suffix after the edit from a cached prefix state, the WCNN
-  recomputes only the conv windows overlapping the edit.  Delta scoring
-  composes with the scoring service (the base document rides along with
-  each request and rows are delta-scored server-side) and is bitwise
-  identical to full scoring at any worker count.
-
 ``REPRO_NUM_WORKERS`` overrides the worker count everywhere the runner is
 wired in (``evaluate_attack``, the table drivers, the perf benchmark);
 unset, the runner defaults to ``os.cpu_count()``.  An unparseable or
@@ -87,19 +70,10 @@ from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.attacks.base import Attack, AttackFailure, AttackResult
 from repro.eval.perf import PerfRecorder
-from repro.eval.scoring_service import (
-    ScoringService,
-    ScoringServiceError,
-    ServiceScoreFn,
-    scoring_service_enabled,
-)
-from repro.nn.delta import DeltaScoreFn, delta_scoring_enabled
 from repro.obs.registry import MetricsRegistry
-from repro.obs.timeseries import SERVICE_SERIES_FILENAME
 
 __all__ = [
     "ParallelAttackRunner",
@@ -193,12 +167,6 @@ def _attack_one(
     attack._trace = trace
     try:
         return attack.attack(doc, target)
-    except ScoringServiceError:
-        # not this document's fault: the shared scoring service is gone.
-        # Propagate so the runner's recovery machinery (blame-narrowing in
-        # the pool, local retry in the serial path) reschedules the work
-        # instead of recording a spurious AttackFailure.
-        raise
     except Exception as exc:  # noqa: BLE001 - one bad doc must not kill the run
         return AttackFailure(
             doc_index=idx,
@@ -222,27 +190,9 @@ def _attack_one(
 _WORKER: dict = {}
 
 
-def _init_worker(
-    attack: Attack,
-    base_seed: int,
-    track_perf: bool,
-    service_handle=None,
-    delta_scoring: bool = False,
-) -> None:
+def _init_worker(attack: Attack, base_seed: int, track_perf: bool) -> None:
     _WORKER["attack"] = attack
     _WORKER["base_seed"] = base_seed
-    if service_handle is not None:
-        attack.set_score_fn(
-            ServiceScoreFn(service_handle, attack.model, delta=delta_scoring)
-        )
-    elif delta_scoring:
-        # for_model returns None when the model has no delta kernel, which
-        # set_score_fn treats as the legacy in-process path
-        attack.set_score_fn(DeltaScoreFn.for_model(attack.model))
-    else:
-        # detach any fork-copied score_fn: its client plumbing belongs to
-        # another process/round
-        attack.set_score_fn(None)
     profiler = getattr(attack, "profiler", None)
     if track_perf:
         recorder = PerfRecorder(registry=MetricsRegistry())
@@ -338,31 +288,6 @@ class ParallelAttackRunner:
         each document's :class:`AttackResult`/:class:`AttackFailure`
         lands (completion order, not input order).  Used for journaling
         and heartbeats; exceptions it raises abort the run.
-    scoring_service:
-        Routes every deterministic scoring forward through the shared
-        scoring service (:mod:`repro.eval.scoring_service`): ``True``
-        builds one for the attack's model, a :class:`ScoringService`
-        instance is used as-is (the runner still owns start/stop), and
-        ``False`` forces the legacy in-process path.  The default of
-        ``None`` defers to ``REPRO_SCORING_SERVICE``.  Service-backed
-        runs are bitwise identical across worker counts; a service that
-        dies mid-run is detected via heartbeat/liveness checks and the
-        affected chunks retry through the normal crash-recovery path
-        without it.
-    delta_scoring:
-        Scores single-edit candidates incrementally (:mod:`repro.nn.delta`):
-        in-process runs install a :class:`~repro.nn.delta.DeltaScoreFn`
-        per worker, service-backed runs send each request's base document
-        so the service can delta-score rows server-side.  Results are
-        bitwise identical with the flag on or off.  The default of
-        ``None`` defers to ``REPRO_DELTA_SCORING``.
-    series_dir:
-        Directory a runner-built scoring service streams its live
-        ``service_series.jsonl`` time series into
-        (:mod:`repro.obs.timeseries`); ``evaluate_attack`` passes the
-        run's ``trace_dir``.  Ignored when the caller supplies its own
-        :class:`ScoringService` instance (that instance's ``series_path``
-        wins).
     """
 
     def __init__(
@@ -374,9 +299,6 @@ class ParallelAttackRunner:
         perf: PerfRecorder | None = None,
         fault_policy: RunnerFaultPolicy | None = None,
         on_result: Callable[[int, AttackResult | AttackFailure], None] | None = None,
-        scoring_service: "ScoringService | bool | None" = None,
-        delta_scoring: bool | None = None,
-        series_dir: "str | os.PathLike | None" = None,
     ) -> None:
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -387,43 +309,6 @@ class ParallelAttackRunner:
         self.perf = perf if perf is not None else getattr(attack.model, "perf", None)
         self.fault_policy = fault_policy or RunnerFaultPolicy()
         self.on_result = on_result
-        self.scoring_service = scoring_service
-        self.delta_scoring = delta_scoring
-        #: directory a runner-built scoring service streams its
-        #: ``service_series.jsonl`` into (usually the run's trace_dir);
-        #: ``None`` keeps the service series off
-        self.series_dir = series_dir
-        self._service: ScoringService | None = None
-
-    def _resolve_delta(self) -> bool:
-        if self.delta_scoring is None:
-            return delta_scoring_enabled()
-        return bool(self.delta_scoring)
-
-    def _resolve_service(self) -> "ScoringService | None":
-        spec = self.scoring_service
-        if spec is None:
-            spec = scoring_service_enabled()
-        if not spec:
-            return None
-        if spec is True:
-            series_path = (
-                Path(self.series_dir) / SERVICE_SERIES_FILENAME
-                if self.series_dir is not None
-                else None
-            )
-            try:
-                return ScoringService(self.attack.model, series_path=series_path)
-            except ScoringServiceError as exc:
-                warnings.warn(
-                    f"scoring service unavailable ({exc}); falling back to "
-                    f"in-process scoring",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                return None
-        return spec
-
     @classmethod
     def from_registry(
         cls,
@@ -488,34 +373,10 @@ class ParallelAttackRunner:
         if not items:
             return []
         n_workers = min(self.n_workers, len(items))
-        service = self._resolve_service()
-        if service is not None:
-            try:
-                # one slot per worker plus one for the parent (the serial
-                # path and the degrade-to-serial fallback score through the
-                # service too)
-                service.start(n_clients=n_workers + 1)
-            except Exception as exc:  # noqa: BLE001 - the service is an
-                # optimization; a failed start must not abort the run
-                warnings.warn(
-                    f"scoring service failed to start ({exc}); running "
-                    f"without it",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                service = None
-        self._service = service
-        try:
-            if n_workers <= 1:
-                outcomes = self._run_serial(items)
-            else:
-                outcomes = self._run_pool(items, n_workers)
-        finally:
-            self._service = None
-            if service is not None:
-                snapshot = service.stop()
-                if snapshot is not None and self.perf is not None:
-                    self.perf.merge(snapshot)
+        if n_workers <= 1:
+            outcomes = self._run_serial(items)
+        else:
+            outcomes = self._run_pool(items, n_workers)
         return [outcomes[idx] for idx, _, _ in items]
 
     def _emit(self, idx: int, outcome: AttackResult | AttackFailure) -> None:
@@ -528,35 +389,13 @@ class ParallelAttackRunner:
         outcomes: dict[int, AttackResult | AttackFailure] | None = None,
     ) -> dict[int, AttackResult | AttackFailure]:
         """In-process path: same reseeding and error isolation, direct
-        perf accounting (the model's recorder stays attached).  With a
-        live scoring service attached, scoring routes through it; a
-        service death mid-document is retried locally (reseeding makes
-        the redo deterministic)."""
+        perf accounting (the model's recorder stays attached)."""
         if outcomes is None:
             outcomes = {}
-        attack = self.attack
-        service = self._service
-        delta = self._resolve_delta()
-        if service is not None and service.alive():
-            service.refill_slots()
-            attack.set_score_fn(
-                ServiceScoreFn(service.handle(), attack.model, delta=delta)
-            )
-        elif delta:
-            attack.set_score_fn(DeltaScoreFn.for_model(attack.model))
-        try:
-            for idx, doc, target in items:
-                try:
-                    outcome = _attack_one(attack, idx, doc, target, self.base_seed)
-                except ScoringServiceError:
-                    attack.set_score_fn(
-                        DeltaScoreFn.for_model(attack.model) if delta else None
-                    )
-                    outcome = _attack_one(attack, idx, doc, target, self.base_seed)
-                outcomes[idx] = outcome
-                self._emit(idx, outcome)
-        finally:
-            attack.set_score_fn(None)
+        for idx, doc, target in items:
+            outcome = _attack_one(self.attack, idx, doc, target, self.base_seed)
+            outcomes[idx] = outcome
+            self._emit(idx, outcome)
         return outcomes
 
     def _chunks(
@@ -624,23 +463,11 @@ class ParallelAttackRunner:
     ) -> list[_Chunk]:
         """One executor lifetime; returns the chunks whose results were lost."""
         completed: set[int] = set()
-        service_handle = None
-        if self._service is not None and self._service.alive():
-            # the previous round's workers (all gone by now) consumed their
-            # slots; reset before this round's workers claim theirs
-            self._service.refill_slots()
-            service_handle = self._service.handle()
         executor = ProcessPoolExecutor(
             max_workers=n_workers,
             mp_context=ctx,
             initializer=_init_worker,
-            initargs=(
-                self.attack,
-                self.base_seed,
-                track_perf,
-                service_handle,
-                self._resolve_delta(),
-            ),
+            initargs=(self.attack, self.base_seed, track_perf),
         )
         try:
             futures = {}

@@ -47,7 +47,7 @@ from repro.experiments import (
 )
 from repro.experiments.common import ExperimentContext
 from repro.obs.compare import DEFAULT_REL_TOL, compare_runs, render_compare_report
-from repro.obs.report import render_report
+from repro.obs.report import render_phase_table, render_report
 from repro.obs.timeseries import load_run_series, render_dashboard
 from repro.obs.trace import validate_run_dir
 
@@ -81,7 +81,7 @@ def _run_dir_error(run_dir: str) -> str | None:
     has_artifacts = (
         next(path.rglob("metrics.json"), None) is not None
         or next(path.rglob("trace-*.jsonl"), None) is not None
-        or next(path.rglob("*series.jsonl"), None) is not None
+        or next(path.rglob("series.jsonl"), None) is not None
     )
     if not has_artifacts:
         return (
@@ -217,9 +217,9 @@ def _watch_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments watch",
         description="Live terminal dashboard for a running (or finished) "
-        "attack run: sparklines of docs/s, success rate, cache hits, "
-        "delta savings and scoring-service vitals, from a run directory's "
-        "series.jsonl or a telemetry exporter URL.",
+        "attack run: sparklines of docs/s, success rate, cache hits and "
+        "forward batches, from a run directory's series.jsonl or a "
+        "telemetry exporter URL.",
     )
     parser.add_argument(
         "target",
@@ -459,13 +459,12 @@ def _list_attacks_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments list-attacks",
         description="List the attack registry: every name with its candidate "
-        "source, search strategy, delta-scoring eligibility and paper "
-        "reference.",
+        "source, search strategy and paper reference.",
     )
     parser.add_argument(
         "--json",
         action="store_true",
-        help="machine-readable dump (name, needs, params, delta, ...) for "
+        help="machine-readable dump (name, needs, params, ...) for "
         "tooling and the dashboard",
     )
     args = parser.parse_args(argv)
@@ -476,7 +475,6 @@ def _list_attacks_main(argv: list[str]) -> int:
                 "name": s.name,
                 "source": s.source,
                 "strategy": s.strategy,
-                "delta": s.delta,
                 "paper": s.paper,
                 "summary": s.summary,
                 "needs": list(s.needs),
@@ -486,8 +484,8 @@ def _list_attacks_main(argv: list[str]) -> int:
         ]
         print(json.dumps(payload, indent=2))
         return 0
-    headers = ("name", "source", "strategy", "delta", "paper")
-    rows = [(s.name, s.source, s.strategy, s.delta, s.paper) for s in specs]
+    headers = ("name", "source", "strategy", "paper")
+    rows = [(s.name, s.source, s.strategy, s.paper) for s in specs]
     widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(headers)]
     fmt = "  ".join(f"{{:<{w}}}" for w in widths)
     print(fmt.format(*headers))
@@ -548,17 +546,10 @@ def main(argv: list[str] | None = None) -> int:
             saved = writer.save(name, rows, artifact=name)
             print(f"[saved {saved} and the matching .csv]")
         print(f"[{name} done in {time.perf_counter() - start:.1f}s]")
-    phases = {
-        name: seconds
-        for name, seconds in sorted(context.metrics.counters.items())
-        if name.startswith("phase/") and name.endswith("_seconds")
-    }
-    if phases:
+    counters = context.metrics.counters
+    if any(name.startswith("phase/") and name.endswith("_seconds") for name in counters):
         print("\n=== phase breakdown ===")
-        total = sum(phases.values()) or 1.0
-        for name, seconds in phases.items():
-            path = name[len("phase/") : -len("_seconds")]
-            print(f"  {path:<28} {seconds:8.3f}s  {100.0 * seconds / total:5.1f}%")
+        print(render_phase_table(counters))
     if context.trace_dir is not None:
         print(
             f"\n[traces in {context.trace_dir}; render with"

@@ -145,8 +145,6 @@ class ExperimentContext:
         progress=None,
         journal_dir: str | os.PathLike | None = None,
         trace_dir: str | os.PathLike | None = None,
-        scoring_service: bool | None = None,
-        delta_scoring: bool | None = None,
         telemetry_port: int | None = None,
     ) -> None:
         self.settings = settings or ExperimentSettings()
@@ -178,16 +176,6 @@ class ExperimentContext:
         if trace_dir is None and env_trace:
             trace_dir = env_trace
         self.trace_dir = Path(trace_dir) if trace_dir is not None else None
-        #: route scoring forwards through the shared-memory scoring service
-        #: (repro.eval.scoring_service).  None defers to
-        #: REPRO_SCORING_SERVICE inside the runner, so the flag reaches
-        #: every driver without code changes.
-        self.scoring_service = scoring_service
-        #: score single-edit candidates incrementally (repro.nn.delta);
-        #: bitwise identical results.  None defers to REPRO_DELTA_SCORING
-        #: inside the runner, so the flag reaches every driver without
-        #: code changes.
-        self.delta_scoring = delta_scoring
         #: live-telemetry HTTP exporter port (repro.obs.exporter); None
         #: defers to REPRO_TELEMETRY_PORT (0 = ephemeral port).  The
         #: context owns one TelemetryServer for its whole lifetime, so the
@@ -456,8 +444,6 @@ class ExperimentContext:
             "progress": self.progress,
             "journal_path": self.journal_path(tag),
             "trace_dir": self.trace_path(tag),
-            "scoring_service": self.scoring_service,
-            "delta_scoring": self.delta_scoring,
             "telemetry": self.telemetry,
         }
 
@@ -466,16 +452,11 @@ class ExperimentContext:
         attack: Attack,
         n_workers: int | None = None,
         chunk_size: int | None = None,
-        scoring_service=None,
-        delta_scoring=None,
     ) -> ParallelAttackRunner:
         """A corpus runner for ``attack`` wired to this context's recorder.
 
         Worker precedence: explicit arg, then the context's ``n_workers``,
-        then ``REPRO_NUM_WORKERS``/CPU count inside the runner; the same
-        explicit-arg-then-context precedence applies to ``scoring_service``
-        and ``delta_scoring`` (pass ``False`` to force the legacy path for
-        one run).
+        then ``REPRO_NUM_WORKERS``/CPU count inside the runner.
         """
         return ParallelAttackRunner(
             attack,
@@ -483,10 +464,4 @@ class ExperimentContext:
             chunk_size=chunk_size,
             base_seed=self.settings.seed,
             perf=self.perf,
-            scoring_service=(
-                scoring_service if scoring_service is not None else self.scoring_service
-            ),
-            delta_scoring=(
-                delta_scoring if delta_scoring is not None else self.delta_scoring
-            ),
         )

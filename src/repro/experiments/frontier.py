@@ -94,9 +94,8 @@ def run(
     """The full sweep: every registry attack × every budget, one slice.
 
     Each cell builds a fresh attack through
-    :meth:`ExperimentContext.make_attack` — so the scoring-service /
-    delta-scoring / trace / journal wiring is identical to every other
-    driver — and pins its hard query cap.
+    :meth:`ExperimentContext.make_attack` — so the trace / journal wiring
+    is identical to every other driver — and pins its hard query cap.
     """
     grid = matrix(max_examples, budgets, attacks, dataset, arch)
     points: list[FrontierPoint] = []

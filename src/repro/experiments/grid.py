@@ -23,8 +23,8 @@ overrides — and one :class:`GridRunner` owns everything operational:
   subdirectory under the context's ``trace_dir``;
 - **parallel execution** — the per-document attack loop runs through the
   fault-tolerant :class:`~repro.eval.parallel.ParallelAttackRunner`
-  (worker count, scoring service, delta scoring all inherited from the
-  context), with the documented any-worker-count determinism guarantee;
+  (worker count inherited from the context), with the documented
+  any-worker-count determinism guarantee;
 - **result-frame assembly** — cells land in a :class:`ResultFrame` with
   coordinate lookup (``frame.get(dataset=..., attack=...)``) and flat
   scalar rows, so drivers reduce to declaration + row shaping.
@@ -398,19 +398,13 @@ class GridRunner:
         )
         if cell.attack.max_queries is not None:
             attack.max_queries = cell.attack.max_queries
-        eval_kwargs = context.eval_kwargs(cell.tag)
-        if not isinstance(victim, TextClassifier):
-            # wrapped victims (e.g. smoothing ensembles) have no weight
-            # arena / registered kernels; keep their forwards in-process
-            eval_kwargs["scoring_service"] = False
-            eval_kwargs["delta_scoring"] = False
         evaluation = evaluate_attack(
             victim,
             attack,
             context.dataset(cell.dataset).test,
             max_examples=cell.max_examples,
             seed=seed,
-            **eval_kwargs,
+            **context.eval_kwargs(cell.tag),
         )
         return CellResult(cell=cell, tag=cell.tag, evaluation=evaluation, victim=victim)
 

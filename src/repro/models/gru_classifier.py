@@ -10,14 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.delta import RecurrentDeltaKernel, register_delta_kernel
 from repro.nn.inference import (
     dense_np,
     gru_forward_np,
     register_fused_kernel,
-    register_stable_kernel,
-    stable_dense_np,
-    stable_matmul_operand,
 )
 from repro.nn.layers import Dense, Embedding
 from repro.nn.rnn import GRU
@@ -66,24 +62,4 @@ def _gru_fused_logits(
     return dense_np(h, head.weight.data, head.bias.data if head.bias is not None else None)
 
 
-def _gru_stable_logits(
-    model: GRUClassifier, token_ids: np.ndarray, mask: np.ndarray
-) -> np.ndarray:
-    """Composition-stable GRU forward for the scoring service (B >= 2)."""
-    emb = model.embedding.weight.data[token_ids]
-    h = gru_forward_np(
-        emb,
-        mask,
-        stable_matmul_operand(model, "gru.w_x", model.gru.w_x.data),
-        stable_matmul_operand(model, "gru.w_h", model.gru.w_h.data),
-        model.gru.bias.data,
-    )
-    head = model.head
-    return stable_dense_np(
-        h, head.weight.data, head.bias.data if head.bias is not None else None
-    )
-
-
 register_fused_kernel(GRUClassifier, _gru_fused_logits)
-register_stable_kernel(GRUClassifier, _gru_stable_logits)
-register_delta_kernel(GRUClassifier, RecurrentDeltaKernel("gru", "gru"))

@@ -10,14 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.delta import RecurrentDeltaKernel, register_delta_kernel
 from repro.nn.inference import (
     dense_np,
     lstm_forward_np,
     register_fused_kernel,
-    register_stable_kernel,
-    stable_dense_np,
-    stable_matmul_operand,
 )
 from repro.nn.layers import Dense, Embedding
 from repro.nn.rnn import LSTM
@@ -67,24 +63,4 @@ def _lstm_fused_logits(
     return dense_np(h, head.weight.data, head.bias.data if head.bias is not None else None)
 
 
-def _lstm_stable_logits(
-    model: LSTMClassifier, token_ids: np.ndarray, mask: np.ndarray
-) -> np.ndarray:
-    """Composition-stable LSTM forward for the scoring service (B >= 2)."""
-    emb = model.embedding.weight.data[token_ids]
-    h, _ = lstm_forward_np(
-        emb,
-        mask,
-        stable_matmul_operand(model, "lstm.w_x", model.lstm.w_x.data),
-        stable_matmul_operand(model, "lstm.w_h", model.lstm.w_h.data),
-        model.lstm.bias.data,
-    )
-    head = model.head
-    return stable_dense_np(
-        h, head.weight.data, head.bias.data if head.bias is not None else None
-    )
-
-
 register_fused_kernel(LSTMClassifier, _lstm_fused_logits)
-register_stable_kernel(LSTMClassifier, _lstm_stable_logits)
-register_delta_kernel(LSTMClassifier, RecurrentDeltaKernel("lstm", "lstm"))

@@ -13,16 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.delta import ConvDeltaKernel, register_delta_kernel
 from repro.nn.functional import dropout as dropout_fn
 from repro.nn.inference import (
     conv1d_np,
     dense_np,
     max_over_time_np,
     register_fused_kernel,
-    register_stable_kernel,
-    stable_dense_np,
-    stable_matmul_operand,
 )
 from repro.nn.layers import Conv1d, Dense, Embedding, MaxOverTime
 from repro.nn.tensor import Tensor
@@ -111,26 +107,4 @@ def _wcnn_fused_logits(model: WCNN, token_ids: np.ndarray, mask: np.ndarray) -> 
     return dense_np(pooled, head.weight.data, head.bias.data if head.bias is not None else None)
 
 
-def _wcnn_stable_logits(model: WCNN, token_ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Composition-stable WCNN forward for the scoring service (B >= 2)."""
-    emb = model.embedding.weight.data[token_ids]
-    feats = np.maximum(
-        conv1d_np(
-            emb,
-            stable_matmul_operand(model, "conv.weight", model.conv.weight.data),
-            model.conv.bias.data,
-            model.conv.kernel_size,
-            model.conv.stride,
-        ),
-        0.0,
-    )
-    pooled = max_over_time_np(feats, model._window_mask(mask), MaxOverTime.NEG)
-    head = model.head
-    return stable_dense_np(
-        pooled, head.weight.data, head.bias.data if head.bias is not None else None
-    )
-
-
 register_fused_kernel(WCNN, _wcnn_fused_logits)
-register_stable_kernel(WCNN, _wcnn_stable_logits)
-register_delta_kernel(WCNN, ConvDeltaKernel())

@@ -31,7 +31,9 @@ Where the time goes, and what the kernels do about it:
 
 Model classes opt in through :func:`register_fused_kernel`; dispatch
 happens in :meth:`repro.models.base.TextClassifier.predict_proba` whenever
-no gradient is needed and scoring is deterministic.  The autograd forward
+no gradient is needed and scoring is deterministic.  That is the one
+scoring path: every attack query, serial or in a pool worker, is a
+``predict_proba`` call on the victim in the calling process.  The autograd forward
 is kept untouched as the reference implementation — gradient-guided attacks
 still use it for the gradient step, and ``fused_inference = False`` (or an
 unregistered model class) falls back to it.
@@ -49,10 +51,6 @@ import numpy as np
 __all__ = [
     "register_fused_kernel",
     "fused_kernel_for",
-    "register_stable_kernel",
-    "stable_kernel_for",
-    "stable_matmul_operand",
-    "stable_dense_np",
     "softmax_np",
     "sigmoid_np",
     "dense_np",
@@ -67,7 +65,6 @@ __all__ = [
 FusedKernel = Callable[[object, np.ndarray, np.ndarray], np.ndarray]
 
 _REGISTRY: dict[type, FusedKernel] = {}
-_STABLE_REGISTRY: dict[type, FusedKernel] = {}
 
 M = TypeVar("M", bound=type)
 
@@ -86,26 +83,6 @@ def register_fused_kernel(model_cls: type, kernel: FusedKernel) -> None:
 def fused_kernel_for(model: object) -> FusedKernel | None:
     """The registered kernel for ``type(model)``, or None (reference path)."""
     return _REGISTRY.get(type(model))
-
-
-def register_stable_kernel(model_cls: type, kernel: FusedKernel) -> None:
-    """Register a *composition-stable* forward for ``model_cls``.
-
-    A stable kernel guarantees a stronger property than the fused ones:
-    every output row is bitwise independent of which other rows share the
-    batch.  The scoring service depends on this — it merges `_score_batch`
-    requests from many concurrent document attacks into one large GEMM,
-    and the merged composition varies with timing, so only row-stable
-    kernels keep service-backed runs deterministic across worker counts.
-
-    Same exact-type lookup rule as :func:`register_fused_kernel`.
-    """
-    _STABLE_REGISTRY[model_cls] = kernel
-
-
-def stable_kernel_for(model: object) -> FusedKernel | None:
-    """The registered composition-stable kernel for ``type(model)``, or None."""
-    return _STABLE_REGISTRY.get(type(model))
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +172,6 @@ def lstm_forward_np(
     w_x: np.ndarray,
     w_h: np.ndarray,
     bias: np.ndarray,
-    h0: np.ndarray | None = None,
-    c0: np.ndarray | None = None,
-    state_seq: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fused LSTM recurrence over ``(B, T, D)``; returns ``(h, c)`` of ``(B, H)``.
 
@@ -214,22 +188,11 @@ def lstm_forward_np(
     every row is real takes the new state as is; any other column merges it
     with ``np.copyto(..., where=)``, which selects exactly what
     ``np.where`` would.
-
-    ``h0``/``c0`` seed the recurrence from a cached prefix state instead of
-    zeros (the recurrence is causal, so restarting at timestep ``p`` with the
-    state after ``p`` steps is exact).  ``state_seq``, when given, is a pair
-    of preallocated ``(B, T + 1, H)`` arrays that receive the state after
-    every step — index 0 holds the initial state — which is what the delta
-    scorer caches for a base document.
     """
     batch, seq_len, dim = emb.shape
     hid = w_h.shape[1]
-    h = np.zeros((batch, hid)) if h0 is None else np.array(h0, dtype=float)
-    c = np.zeros((batch, hid)) if c0 is None else np.array(c0, dtype=float)
-    if state_seq is not None:
-        h_seq, c_seq = state_seq
-        h_seq[:, 0] = h
-        c_seq[:, 0] = c
+    h = np.zeros((batch, hid))
+    c = np.zeros((batch, hid))
     wx_t = w_x.T
     wh_t = w_h.T
     x_proj = (emb.reshape(batch * seq_len, dim) @ wx_t).reshape(batch, seq_len, 4 * hid)
@@ -267,9 +230,6 @@ def lstm_forward_np(
             step = mask[:, t][:, None]
             np.copyto(c, c_new, where=step)
             np.copyto(h, h_new, where=step)
-        if state_seq is not None:
-            h_seq[:, t + 1] = h
-            c_seq[:, t + 1] = c
     return h, c
 
 
@@ -279,24 +239,16 @@ def gru_forward_np(
     w_x: np.ndarray,
     w_h: np.ndarray,
     bias: np.ndarray,
-    h0: np.ndarray | None = None,
-    state_seq: np.ndarray | None = None,
 ) -> np.ndarray:
     """Fused GRU recurrence; returns the final hidden state ``(B, H)``.
 
     Mirrors :meth:`repro.nn.rnn.GRU.forward`: joint update/reset projection,
     reset-gated candidate, ``h = (1 - z) n + z h`` with masked carry-through.
     Same buffered step loop as :func:`lstm_forward_np`.
-
-    ``h0`` seeds the recurrence from a cached prefix state; ``state_seq`` is
-    an optional preallocated ``(B, T + 1, H)`` array receiving the state
-    after every step (index 0 = initial state).  See :func:`lstm_forward_np`.
     """
     batch, seq_len, dim = emb.shape
     hid = w_h.shape[1]
-    h = np.zeros((batch, hid)) if h0 is None else np.array(h0, dtype=float)
-    if state_seq is not None:
-        state_seq[:, 0] = h
+    h = np.zeros((batch, hid))
     wx_t = w_x.T
     wh_t = w_h.T
     x_proj = (emb.reshape(batch * seq_len, dim) @ wx_t).reshape(batch, seq_len, 3 * hid)
@@ -329,8 +281,6 @@ def gru_forward_np(
             h, h_new = h_new, h
         else:
             np.copyto(h, h_new, where=mask[:, t][:, None])
-        if state_seq is not None:
-            state_seq[:, t + 1] = h
     return h
 
 
@@ -339,68 +289,6 @@ _RNN_ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "sigmoid": sigmoid_np,
     "relu": lambda x: np.maximum(x, 0.0),
 }
-
-
-# ---------------------------------------------------------------------------
-# composition-stable primitives
-#
-# The fused kernels above replicate the autograd op order bitwise, but both
-# paths inherit OpenBLAS's batch-shape sensitivity: `x @ w.T` with a
-# transposed-*view* second operand picks different micro-kernels (and
-# different K-blocking, hence different summation orders) depending on the
-# row count M, so one document's row can change at the ulp level when the
-# rows batched alongside it change.  Measured on this substrate:
-#
-# - transposed-view operands are row-unstable for small M (up to M≈18 for
-#   some shapes), with no safe universal threshold;
-# - a *contiguous* second operand is row-stable for every tested shape at
-#   M >= 2 — except narrow outputs (N == num_classes == 2), which stay
-#   unstable at almost every M;
-# - gemv (M == 1, and matvec per class) uses its own K-blocking and never
-#   matches gemm rows.
-#
-# The stable recipe is therefore: contiguous pre-transposed weights for the
-# wide GEMMs (`stable_matmul_operand`), the narrow classification head as a
-# per-class elementwise multiply + per-row pairwise `sum` (`stable_dense_np`,
-# composition-invariant by construction), and callers must never dispatch a
-# single-row batch (the scoring service pads to >= 2 rows).  Elementwise
-# ops, softmax, gathers and masked reductions are all per-row already.
-# ---------------------------------------------------------------------------
-
-def stable_matmul_operand(model: object, name: str, weight: np.ndarray) -> np.ndarray:
-    """``weight``, re-laid-out so ``weight.T`` is a C-contiguous GEMM operand.
-
-    The fused recurrences and conv all compute ``x @ w.T``; handing them a
-    transpose-contiguous ``w`` makes the BLAS see a contiguous NoTrans
-    second operand, which is what makes their rows composition-stable for
-    M >= 2.  The copy is cached on the model instance under ``name`` and
-    invalidated when the source parameter array is rebound (e.g. by the
-    shared-memory weight arena).
-    """
-    cache = model.__dict__.setdefault("_stable_operand_cache", {})
-    entry = cache.get(name)
-    if entry is None or entry[0] is not weight:
-        contig = np.ascontiguousarray(weight.T).T
-        cache[name] = (weight, contig)
-        return contig
-    return entry[1]
-
-
-def stable_dense_np(
-    x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None
-) -> np.ndarray:
-    """Affine head ``x W^T + b`` with composition-invariant rows.
-
-    The (B, C) classification head is too narrow for any BLAS layout to be
-    row-stable, so each output column is computed as an elementwise product
-    reduced per row by NumPy's pairwise ``sum`` — the reduction order for a
-    row depends only on that row, never on the batch composition.
-    """
-    cols = [(x * weight[j]).sum(axis=1) for j in range(weight.shape[0])]
-    out = np.stack(cols, axis=1)
-    if bias is not None:
-        out = out + bias
-    return out
 
 
 def rnn_forward_np(

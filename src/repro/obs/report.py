@@ -165,7 +165,12 @@ def _exact_quantile(values: list[float], q: float) -> float:
 
 
 def render_phase_table(counters: dict[str, float]) -> str:
-    """Markdown table of ``phase/*_seconds`` counters with share-of-total."""
+    """Markdown table of ``phase/*_seconds`` counters with share-of-total.
+
+    Span paths nest (``greedy-select/forward`` runs inside
+    ``greedy-select``), so the share is taken of the top-level paths'
+    seconds only: a nested path's time is already inside its parent's.
+    """
     phases: dict[str, dict[str, float]] = {}
     for name, value in counters.items():
         if not name.startswith("phase/"):
@@ -176,7 +181,10 @@ def render_phase_table(counters: dict[str, float]) -> str:
             phases.setdefault(name[len("phase/") : -len("_calls")], {})["calls"] = value
     if not phases:
         return "_no phase spans recorded_"
-    total = sum(entry.get("seconds", 0.0) for entry in phases.values()) or 1.0
+    total = (
+        sum(entry.get("seconds", 0.0) for path, entry in phases.items() if "/" not in path)
+        or 1.0
+    )
     rows = [
         [
             path,

@@ -10,8 +10,8 @@ registry (through a caller-supplied ``snapshot_fn``) into schema-versioned
 - the raw **counters** (cumulative, so any suffix of the series still
   reconciles with the final ``metrics.json`` totals),
 - per-second **rates** for every counter that moved since the previous
-  point (docs/s, queries/s, delta-unit burn, ...),
-- the current **gauges** (heartbeat vitals, service queue depth), and
+  point (docs/s, queries/s, forward batches/s, ...),
+- the current **gauges** (heartbeat vitals), and
 - compact **histogram** digests (count / mean / p50 / p95).
 
 Points live in a bounded ring buffer (served live by the HTTP exporter's
@@ -24,9 +24,7 @@ Sampling cadence: serial runs ride the :class:`~repro.eval.progress.
 HeartbeatMonitor` (one :meth:`TimeSeriesSampler.maybe_sample` per
 completed document, throttled to ``interval_seconds``); pooled runs add a
 parent-side daemon thread (:meth:`TimeSeriesSampler.start`) because
-chunk results land bursty.  The scoring service runs its own in-process
-sampler over its ``service/*`` registry into ``service_series.jsonl``.
-Sampling is read-only with respect to the run — a failed sample is
+chunk results land bursty.  Sampling is read-only with respect to the run — a failed sample is
 counted and skipped, never raised — so telemetry can never change attack
 results.
 
@@ -50,7 +48,6 @@ from repro.obs.trace import TraceSchemaError
 __all__ = [
     "SERIES_SCHEMA_VERSION",
     "SERIES_FILENAME",
-    "SERVICE_SERIES_FILENAME",
     "SERIES_INTERVAL_ENV",
     "resolve_series_interval",
     "TimeSeriesSampler",
@@ -66,8 +63,6 @@ SERIES_SCHEMA_VERSION = 1
 
 #: the run-level series file, written next to ``metrics.json``
 SERIES_FILENAME = "series.jsonl"
-#: the scoring service's own series (separate file: separate process)
-SERVICE_SERIES_FILENAME = "service_series.jsonl"
 #: env var overriding the sampling interval in seconds (default 1.0)
 SERIES_INTERVAL_ENV = "REPRO_SERIES_INTERVAL"
 
@@ -106,8 +101,8 @@ class TimeSeriesSampler:
     maxlen:
         Ring-buffer capacity (the file is never truncated).
     source:
-        Tag stamped on every point (``"run"`` / ``"service"``) so series
-        from several samplers can share a reader.
+        Tag stamped on every point (``"run"``) so series from several
+        samplers can share a reader.
     """
 
     def __init__(
@@ -229,7 +224,7 @@ class TimeSeriesSampler:
     def close(self) -> dict | None:
         """Stop the thread and take one final forced point.
 
-        The caller sequences this after the last worker/service snapshot
+        The caller sequences this after the last worker snapshot
         merge, so the final point's counters equal the totals written to
         ``metrics.json``.
         """
@@ -284,8 +279,8 @@ def read_series(path: str | Path) -> list[dict]:
 
 
 def iter_series_files(run_dir: str | Path) -> Iterator[Path]:
-    """Every series file under ``run_dir`` (run and service), sorted."""
-    yield from sorted(Path(run_dir).rglob("*" + SERIES_FILENAME))
+    """Every series file under ``run_dir`` (one per run directory), sorted."""
+    yield from sorted(Path(run_dir).rglob(SERIES_FILENAME))
 
 
 def load_run_series(run_dir: str | Path) -> list[dict]:
@@ -399,27 +394,7 @@ DASHBOARD_ROWS: dict[str, list[tuple[str, str, Callable[[dict], float | None]]]]
             _counter_ratio("attack/cache_hits", ("attack/n_queries", "attack/cache_hits")),
         ),
         ("forward batches/s", "", _rate("forward/batches")),
-        (
-            "delta savings",
-            "%",
-            lambda p: (
-                1.0 - p["counters"]["delta/units"] / p["counters"]["delta/units_full"]
-                if p.get("counters", {}).get("delta/units_full")
-                else None
-            ),
-        ),
         ("phase attack s/s", "", _rate("phase/attack_seconds")),
-    ],
-    "service": [
-        ("queue depth", "", _gauge("service/queue_depth")),
-        ("dispatches/s", "", _rate("service/dispatches")),
-        ("merged reqs/s", "", _rate("service/merged_requests")),
-        (
-            "batch docs p50",
-            "",
-            lambda p: p.get("histograms", {}).get("service/batch_docs", {}).get("p50"),
-        ),
-        ("delta rows/s", "", _rate("service/delta_rows")),
     ],
 }
 
@@ -427,7 +402,7 @@ DASHBOARD_ROWS: dict[str, list[tuple[str, str, Callable[[dict], float | None]]]]
 def render_dashboard(points: list[dict], width: int = 48, health: dict | None = None) -> str:
     """One text frame of the live dashboard for ``watch``.
 
-    ``points`` is any mix of run/service series points (e.g. from
+    ``points`` is any mix of series points, grouped by source (e.g. from
     :func:`load_run_series` or the exporter's ``/series.json``);
     ``health`` is an optional ``/healthz`` payload rendered as a status
     line.

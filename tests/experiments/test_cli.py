@@ -64,15 +64,6 @@ class TestListAttacksCli:
         assert "Alg. 1" in out  # the headline attack is attributed
         assert "CELF lazy greedy" in out
 
-    def test_shows_delta_eligibility_column(self, capsys):
-        assert main(["list-attacks"]) == 0
-        out = capsys.readouterr().out
-        assert "delta" in out  # the column header
-        # the staged attacks advertise their word-stage-only eligibility
-        assert "word-stage" in out
-        for spec in ATTACKS.values():
-            assert spec.delta in ("yes", "no", "word-stage", "equal-len")
-
     def test_rejects_extra_arguments(self):
         with pytest.raises(SystemExit):
             main(["list-attacks", "--bogus"])
@@ -85,7 +76,6 @@ class TestListAttacksCli:
             spec = ATTACKS[entry["name"]]
             assert entry["source"] == spec.source
             assert entry["strategy"] == spec.strategy
-            assert entry["delta"] == spec.delta
             assert entry["needs"] == list(spec.needs)
             assert entry["params"] == list(spec.params)
 

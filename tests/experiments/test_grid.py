@@ -6,8 +6,6 @@ import pickle
 import numpy as np
 import pytest
 
-import repro.experiments.grid as grid_mod
-from repro.defense.smoothing import SmoothedClassifier
 from repro.experiments import ExperimentContext, ExperimentSettings
 from repro.experiments.grid import (
     Cell,
@@ -179,24 +177,6 @@ class TestGridRunner:
         np.testing.assert_array_equal(
             victims[0].predict_proba(docs), reloaded.predict_proba(docs)
         )
-
-    def test_wrapped_victim_disables_scoring_service(self, ctx, monkeypatch):
-        captured = {}
-        real = grid_mod.evaluate_attack
-
-        def spy(model, attack, examples, **kwargs):
-            captured["model"] = model
-            captured["scoring_service"] = kwargs.get("scoring_service")
-            captured["delta_scoring"] = kwargs.get("delta_scoring")
-            return real(model, attack, examples, **kwargs)
-
-        monkeypatch.setattr(grid_mod, "evaluate_attack", spy)
-        GridRunner(ctx).run(
-            small_matrix(defenses=(MatrixDefense.of("smoothing", n_samples=3),))
-        )
-        assert isinstance(captured["model"], SmoothedClassifier)
-        assert captured["scoring_service"] is False
-        assert captured["delta_scoring"] is False
 
     def test_max_queries_pinned_on_attack(self, ctx):
         frame = GridRunner(ctx).run(

@@ -99,11 +99,9 @@ class TestTournament:
 
 class TestTransferDeterminism:
     """Satellite: docs crafted on one arch replay bitwise-identically on
-    every other victim regardless of worker count or scoring service."""
+    every other victim regardless of worker count."""
 
-    def run_once(self, shared_cache, monkeypatch=None, n_workers=None, service=False):
-        if monkeypatch is not None and service:
-            monkeypatch.setenv("REPRO_SCORING_SERVICE", "1")
+    def run_once(self, shared_cache, n_workers=None):
         context = ExperimentContext(SETTINGS, cache_dir=shared_cache, n_workers=n_workers)
         return tournament.run(
             context,
@@ -125,7 +123,3 @@ class TestTransferDeterminism:
     def test_pooled_matches_serial(self, shared_cache, serial):
         pooled = self.run_once(shared_cache, n_workers=2)
         self.assert_identical(serial, pooled)
-
-    def test_scoring_service_matches_serial(self, shared_cache, serial, monkeypatch):
-        serviced = self.run_once(shared_cache, monkeypatch, service=True)
-        self.assert_identical(serial, serviced)

@@ -154,6 +154,18 @@ class TestRenderPhaseTable:
         assert "| candidate-gen | 5 | 1.000 | 25.0% |" in table
         assert "attack/docs" not in table
 
+    def test_nested_spans_share_top_level_total(self):
+        table = render_phase_table(
+            {
+                "phase/greedy-select_seconds": 2.0,
+                "phase/greedy-select/forward_seconds": 1.5,
+                "phase/candidate-gen_seconds": 2.0,
+            }
+        )
+        assert "| greedy-select | 0 | 2.000 | 50.0% |" in table
+        assert "| greedy-select/forward | 0 | 1.500 | 37.5% |" in table
+        assert "| candidate-gen | 0 | 2.000 | 50.0% |" in table
+
     def test_empty_counters(self):
         assert render_phase_table({}) == "_no phase spans recorded_"
 

@@ -149,12 +149,12 @@ class TestReaders:
             fh.write('{"v": 1, "truncat')  # crash mid-append
         assert len(read_series(path)) == 3
 
-    def test_iter_series_files_finds_run_and_service(self, tmp_path):
+    def test_iter_series_files_finds_nested_runs(self, tmp_path):
         self._write_points(tmp_path)
         (tmp_path / "sub").mkdir()
-        (tmp_path / "sub" / "service_series.jsonl").write_text("")
-        names = [p.name for p in iter_series_files(tmp_path)]
-        assert names == ["series.jsonl", "service_series.jsonl"]
+        (tmp_path / "sub" / "series.jsonl").write_text("")
+        paths = [p.relative_to(tmp_path).as_posix() for p in iter_series_files(tmp_path)]
+        assert paths == ["series.jsonl", "sub/series.jsonl"]
 
     def test_load_run_series_orders_by_time(self, tmp_path):
         self._write_points(tmp_path)
@@ -217,17 +217,16 @@ class TestDashboard:
     def test_render_dashboard_groups_sources(self, tmp_path):
         reg = MetricsRegistry()
         run = _sampler(reg, None)
-        svc = TimeSeriesSampler(reg.snapshot, interval_seconds=0.001, source="service")
+        other = TimeSeriesSampler(reg.snapshot, interval_seconds=0.001, source="other")
         reg.inc("attack/docs")
         reg.set_gauge("run/done", 1)
-        reg.set_gauge("service/queue_depth", 3)
         run.sample()
-        svc.sample()
-        frame = render_dashboard(run.points + svc.points)
+        other.sample()
+        frame = render_dashboard(run.points + other.points)
         assert "== run ==" in frame
-        assert "== service ==" in frame
+        assert "== other ==" in frame
         assert "docs done" in frame
-        assert "queue depth" in frame
+        assert "_no recognized metrics in this series_" in frame
 
     def test_render_dashboard_health_line(self):
         frame = render_dashboard(
