@@ -184,8 +184,9 @@ class Attack:
     - ``tracer`` — a :class:`~repro.obs.trace.TraceRecorder`; the corpus
       runner installs a per-document trace on ``_trace`` directly, while
       direct ``attack()`` calls self-open one via ``tracer.next_index()``;
-    - ``profiler`` — a :class:`~repro.obs.spans.PhaseProfiler` whose
-      spans time the forward / candidate-gen / greedy-select phases.
+    - ``metrics`` — a :class:`~repro.obs.registry.MetricsRegistry` whose
+      spans time the forward / candidate-gen / greedy-select phases; the
+      corpus runner ships it home from pool workers.
     """
 
     name = "attack"
@@ -193,7 +194,7 @@ class Attack:
     # class-level defaults so instances unpickled from old journals or
     # constructed by subclasses that bypass __init__ still have the hooks
     tracer = None
-    profiler = None
+    metrics = None
     _trace = None
 
     def __init__(
@@ -210,7 +211,7 @@ class Attack:
         self._cache: ScoreCache | None = None
         self._cache_evictions = 0
         self.tracer = None
-        self.profiler = None
+        self.metrics = None
         self._trace = None
 
     def reseed(self, seed: int) -> None:
@@ -228,18 +229,18 @@ class Attack:
         reseed_object(self, seed)
 
     # -- observability hooks ------------------------------------------------
-    def set_profiler(self, profiler) -> None:
-        """Attach a phase profiler to this attack and its sub-attacks."""
-        self.profiler = profiler
+    def set_metrics(self, metrics) -> None:
+        """Attach a metrics registry to this attack and its sub-attacks."""
+        self.metrics = metrics
         for value in vars(self).values():
             if isinstance(value, Attack) and value is not self:
-                value.set_profiler(profiler)
+                value.set_metrics(metrics)
 
     def _span(self, name: str):
-        """Profiler span context, or a no-op when no profiler is attached."""
-        if self.profiler is None:
+        """Registry span context, or a no-op when no registry is attached."""
+        if self.metrics is None:
             return nullcontext()
-        return self.profiler.span(name)
+        return self.metrics.span(name)
 
     def _trace_event(self, kind: str, **fields) -> None:
         """Emit one trace event; a single ``None`` check when tracing is off."""

@@ -6,8 +6,8 @@ a :class:`~repro.attacks.proposals.CandidateSource` (what can change), a
 engine owning everything they share — the scoring choke point
 (:meth:`Attack._score_batch`: batching, order-preserving dedup, the
 per-call :class:`~repro.attacks.cache.ScoreCache`), the query budget, the
-``n_queries`` / ``n_cache_hits`` accounting, and the TraceRecorder /
-PhaseProfiler / PerfRecorder instrumentation.  Strategies and sources
+``n_queries`` / ``n_cache_hits`` accounting, and the TraceRecorder and
+MetricsRegistry span instrumentation.  Strategies and sources
 never touch the victim directly; they call the helpers below, so every
 combination — including ones no attack class predefines, like
 char-flip × beam — gets caching, tracing and reconciliation
@@ -153,7 +153,7 @@ class AttackEngine(Attack):
         return gradient
 
     def span(self, phase: str):
-        """Profiler span for a named phase (no-op without a profiler)."""
+        """Registry span for a named phase (no-op without a registry)."""
         return self._span(phase)
 
     def trace_iteration(self, **fields) -> None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import zlib
 from collections.abc import Mapping, Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,9 +79,9 @@ class WordParaphraser:
         self.config = config or ParaphraseConfig()
         if self.config.delta_lm != float("inf") and lm is None:
             raise ValueError("a language model is required for a finite delta_lm")
-        #: optional PhaseProfiler: times the LM filter, the dominant cost of
-        #: neighbor-set construction when delta_lm is finite
-        self.profiler = None
+        #: optional MetricsRegistry: spans the LM filter, the dominant cost
+        #: of neighbor-set construction when delta_lm is finite
+        self.metrics = None
         # candidates_for_word is a pure function of (word, lexicon, vectors,
         # config), all fixed after construction — memoize it so repeated
         # words across a corpus pay the WMD filter once.
@@ -128,15 +129,9 @@ class WordParaphraser:
         for i, word in enumerate(tokens):
             cands = self.candidates_for_word(word)
             if cands and self.lm is not None and np.isfinite(cfg.delta_lm):
-                if self.profiler is not None:
-                    with self.profiler.span("lm-filter"):
-                        cands = [
-                            c for c in cands if self._lm_delta(tokens, i, c) <= cfg.delta_lm
-                        ]
-                else:
-                    cands = [
-                        c for c in cands if self._lm_delta(tokens, i, c) <= cfg.delta_lm
-                    ]
+                span = nullcontext() if self.metrics is None else self.metrics.span("lm-filter")
+                with span:
+                    cands = [c for c in cands if self._lm_delta(tokens, i, c) <= cfg.delta_lm]
             sets.append(cands)
         return WordNeighborSets(sets)
 

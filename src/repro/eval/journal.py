@@ -30,12 +30,12 @@ Record kinds (one JSON object per line)::
     {"kind": "header", "version": 1, "seed": ..., "attack": ..., ...}
     {"kind": "result", "doc_index": i, "seed_index": j, "result": {...}}
     {"kind": "failure", "doc_index": i, "seed_index": j, "failure": {...}}
-    {"kind": "perf", "snapshot": {...}}
 
 ``doc_index`` is the position in the evaluated example list (stable
 across resume); ``seed_index`` is the position in the attacked sublist,
-which determines the per-document seed.  ``perf`` records are informative
-(merged recorder snapshots); resume ignores them.
+which determines the per-document seed.  Journals written by older
+versions may also hold ``{"kind": "perf", ...}`` lines of forward
+counters; they are read and ignored, so such journals still resume.
 """
 
 from __future__ import annotations
@@ -97,7 +97,6 @@ class RunJournal:
         self.header: dict | None = None
         self.results: dict[int, AttackResult] = {}
         self.failures: dict[int, AttackFailure] = {}
-        self.perf_snapshots: list[dict] = []
         if self.path.exists() and self.path.stat().st_size > 0:
             self._load()
         if header is not None:
@@ -144,11 +143,6 @@ class RunJournal:
                 }
             )
 
-    def record_perf(self, snapshot: dict) -> None:
-        """Append a merged :meth:`~repro.eval.perf.PerfRecorder.snapshot`."""
-        self.perf_snapshots.append(snapshot)
-        self._append({"kind": "perf", "snapshot": snapshot})
-
     def _append(self, payload: dict) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a") as fh:
@@ -182,9 +176,7 @@ class RunJournal:
                 self.failures[int(payload["doc_index"])] = AttackFailure.from_dict(
                     payload["failure"]
                 )
-            elif kind == "perf":
-                self.perf_snapshots.append(payload["snapshot"])
-            else:
+            elif kind != "perf":  # older journals' perf lines: nothing to resume
                 raise JournalError(
                     f"{self.path}: unknown record kind {kind!r} on line {lineno + 1}"
                 )

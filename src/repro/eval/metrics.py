@@ -215,18 +215,17 @@ def evaluate_attack(
         if i not in done
     ]
     run_registry = MetricsRegistry()
-    recorder = getattr(model, "perf", None)
+    context_registry: MetricsRegistry | None = attack.metrics
 
     def _live_snapshot() -> dict:
-        # the run's own counters plus the shared context registry (phase
-        # spans, forward batches) merged flat — the view the
-        # series and every exporter endpoint serve.  Called from sampler /
-        # HTTP threads while the run mutates both registries; the sampler
-        # and the exporter tolerate a raced snapshot (skip / 500), so no
-        # locking is imposed on the hot path.
+        # the run's own counters plus the attack's (typically the shared
+        # context's) registry of phase spans and forward batches, merged
+        # flat — the view the series and every exporter endpoint serve.
+        # Called from sampler / HTTP threads while the run mutates both
+        # registries; the sampler and the exporter tolerate a raced
+        # snapshot (skip / 500), so no locking is imposed on the hot path.
         merged = MetricsRegistry()
         merged.merge(run_registry.snapshot())
-        context_registry = getattr(recorder, "registry", None)
         if context_registry is not None:
             merged.merge(context_registry.snapshot())
         return merged.snapshot()
@@ -249,7 +248,6 @@ def evaluate_attack(
         callback=progress,
         done=len(done),
         n_failures=sum(1 for o in done.values() if isinstance(o, AttackFailure)),
-        perf=recorder,
         registry=run_registry,
         sampler=sampler,
     )
@@ -317,18 +315,13 @@ def evaluate_attack(
         server.freeze()
         if own_server:
             server.stop()
-    if journal is not None and recorder is not None:
-        journal.record_perf(recorder.snapshot())
     if trace_dir is not None:
         write_run_metrics(
             trace_dir,
             run_registry.snapshot(),
             context_snapshot=(
-                recorder.registry.snapshot()
-                if getattr(recorder, "registry", None) is not None
-                else None
+                context_registry.snapshot() if context_registry is not None else None
             ),
-            perf_snapshot=recorder.snapshot() if recorder is not None else None,
         )
 
     results: list[AttackResult] = []

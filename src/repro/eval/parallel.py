@@ -18,13 +18,13 @@ processes:
   amortize task dispatch, with a chunk size that keeps every worker busy;
 - **ordered result merge** — results come back tagged with their document
   index and are re-assembled into input order;
-- **merge-safe perf accounting** — each worker records forwards into its
-  own :class:`~repro.eval.perf.PerfRecorder` (carrying its own
-  :class:`~repro.obs.registry.MetricsRegistry`, which the worker's phase
-  profiler mirrors into) and returns a serializable snapshot per chunk;
-  the parent folds snapshots into the shared recorder, so
-  ``n_queries``/wall-time/phase accounting stays correct under
-  parallelism;
+- **merge-safe metrics** — the attack's
+  :class:`~repro.obs.registry.MetricsRegistry` (``attack.metrics``) is
+  fork-copied into each worker together with every object that shares
+  it — victim, wrapped base victim, paraphraser — so all of them keep
+  counting into that one copy.  The worker resets it at chunk start and
+  returns its snapshot; the parent merges the snapshot into
+  ``attack.metrics``, so forward and phase counters match a serial run;
 - **per-document tracing** — when a
   :class:`~repro.obs.trace.TraceRecorder` is attached to the attack, each
   worker writes its documents' trace files directly (one JSONL file per
@@ -72,8 +72,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from repro.attacks.base import Attack, AttackFailure, AttackResult
-from repro.eval.perf import PerfRecorder
-from repro.obs.registry import MetricsRegistry
 
 __all__ = [
     "ParallelAttackRunner",
@@ -190,38 +188,22 @@ def _attack_one(
 _WORKER: dict = {}
 
 
-def _init_worker(attack: Attack, base_seed: int, track_perf: bool) -> None:
+def _init_worker(attack: Attack, base_seed: int) -> None:
     _WORKER["attack"] = attack
     _WORKER["base_seed"] = base_seed
-    profiler = getattr(attack, "profiler", None)
-    if track_perf:
-        recorder = PerfRecorder(registry=MetricsRegistry())
-        attack.model.perf = recorder
-        if profiler is not None:
-            # worker phase spans mirror into the worker's own registry,
-            # which rides home inside each chunk's perf snapshot
-            profiler.registry = recorder.registry
-    else:
-        recorder = None
-        # detach the fork-copied parent recorder: an untracked run must not
-        # pay recording overhead into an object the parent never reads
-        if getattr(attack.model, "perf", None) is not None:
-            attack.model.perf = None
-        if profiler is not None:
-            profiler.registry = None
-    _WORKER["recorder"] = recorder
 
 
 def _attack_chunk(items: list[tuple[int, list[str], int]]):
-    """Run one chunk; return indexed outcomes + this chunk's perf snapshot."""
+    """Run one chunk; return indexed outcomes + this chunk's metrics snapshot."""
     attack: Attack = _WORKER["attack"]
-    recorder: PerfRecorder | None = _WORKER["recorder"]
-    if recorder is not None:
-        recorder.reset()
+    metrics = attack.metrics
+    if metrics is not None:
+        # drop the parent's counters the fork copied, and earlier chunks'
+        metrics.reset()
     out = []
     for idx, doc, target in items:
         out.append((idx, _attack_one(attack, idx, doc, target, _WORKER["base_seed"])))
-    return out, (recorder.snapshot() if recorder is not None else None)
+    return out, (metrics.snapshot() if metrics is not None else None)
 
 
 @dataclass
@@ -278,9 +260,6 @@ class ParallelAttackRunner:
         cost, large enough to amortize dispatch.
     base_seed:
         Base of the per-document reseeding mix.
-    perf:
-        Recorder that receives the merged worker snapshots.  Defaults to
-        the attack's model recorder (``attack.model.perf``) when attached.
     fault_policy:
         Crash-recovery knobs; see :class:`RunnerFaultPolicy`.
     on_result:
@@ -296,7 +275,6 @@ class ParallelAttackRunner:
         n_workers: int | None = None,
         chunk_size: int | None = None,
         base_seed: int = 0,
-        perf: PerfRecorder | None = None,
         fault_policy: RunnerFaultPolicy | None = None,
         on_result: Callable[[int, AttackResult | AttackFailure], None] | None = None,
     ) -> None:
@@ -306,7 +284,6 @@ class ParallelAttackRunner:
         self.n_workers = resolve_num_workers(n_workers)
         self.chunk_size = chunk_size
         self.base_seed = base_seed
-        self.perf = perf if perf is not None else getattr(attack.model, "perf", None)
         self.fault_policy = fault_policy or RunnerFaultPolicy()
         self.on_result = on_result
     @classmethod
@@ -388,8 +365,8 @@ class ParallelAttackRunner:
         items: list[tuple[int, list[str], int]],
         outcomes: dict[int, AttackResult | AttackFailure] | None = None,
     ) -> dict[int, AttackResult | AttackFailure]:
-        """In-process path: same reseeding and error isolation, direct
-        perf accounting (the model's recorder stays attached)."""
+        """In-process path: same reseeding and error isolation; counters
+        go straight into ``attack.metrics``."""
         if outcomes is None:
             outcomes = {}
         for idx, doc, target in items:
@@ -420,7 +397,6 @@ class ParallelAttackRunner:
         splits, or converts to failures before the next round.
         """
         policy = self.fault_policy
-        track_perf = self.perf is not None
         ctx = multiprocessing.get_context("fork")
         outcomes: dict[int, AttackResult | AttackFailure] = {}
         shared: deque[_Chunk] = deque(self._chunks(items, n_workers))
@@ -434,7 +410,7 @@ class ParallelAttackRunner:
                 # suspects run one at a time on a one-worker pool so a
                 # break is unambiguously their fault
                 chunks, workers, solo = [suspects.popleft()], 1, True
-            lost = self._pool_round(chunks, workers, ctx, track_perf, outcomes)
+            lost = self._pool_round(chunks, workers, ctx, outcomes)
             if not lost:
                 continue
             rebuilds += 1
@@ -458,7 +434,6 @@ class ParallelAttackRunner:
         chunks: list[_Chunk],
         n_workers: int,
         ctx,
-        track_perf: bool,
         outcomes: dict[int, AttackResult | AttackFailure],
     ) -> list[_Chunk]:
         """One executor lifetime; returns the chunks whose results were lost."""
@@ -467,7 +442,7 @@ class ParallelAttackRunner:
             max_workers=n_workers,
             mp_context=ctx,
             initializer=_init_worker,
-            initargs=(self.attack, self.base_seed, track_perf),
+            initargs=(self.attack, self.base_seed),
         )
         try:
             futures = {}
@@ -486,8 +461,8 @@ class ParallelAttackRunner:
                 for idx, outcome in chunk_out:
                     outcomes[idx] = outcome
                     self._emit(idx, outcome)
-                if snapshot is not None and self.perf is not None:
-                    self.perf.merge(snapshot)
+                if snapshot is not None:
+                    self.attack.metrics.merge(snapshot)
         except BrokenProcessPool:
             # the pool can also break during submission; every chunk without
             # a completed result is picked up as lost below

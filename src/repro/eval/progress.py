@@ -4,9 +4,7 @@
 :class:`Heartbeat` each time a document finishes (in completion order —
 under the process pool that is not input order).  The callback gets the
 run's vital signs: documents done, structured failures so far, throughput
-and the ETA derived from it, plus the attached
-:class:`~repro.eval.perf.PerfRecorder`'s forward counters when the victim
-has one.
+and the ETA derived from it.
 
 Any callable accepting a :class:`Heartbeat` works; :class:`ProgressPrinter`
 is the batteries-included stderr reporter used by the experiment drivers
@@ -35,7 +33,6 @@ class Heartbeat:
     elapsed_seconds: float  # wall-time since the run (not the resume) started
     docs_per_second: float  # throughput over this run's freshly attacked docs
     eta_seconds: float  # remaining / throughput; inf until throughput is known
-    n_forward_docs: int = 0  # from the victim's PerfRecorder, when attached
 
     @property
     def remaining(self) -> int:
@@ -57,7 +54,6 @@ class HeartbeatMonitor:
         callback=None,
         done: int = 0,
         n_failures: int = 0,
-        perf=None,
         registry=None,
         sampler=None,
     ) -> None:
@@ -65,7 +61,6 @@ class HeartbeatMonitor:
         self.callback = callback
         self.done = done
         self.n_failures = n_failures
-        self.perf = perf
         #: optional MetricsRegistry mirror: vitals become ``run/*`` gauges
         self.registry = registry
         #: optional TimeSeriesSampler riding the heartbeat cadence: serial
@@ -122,7 +117,6 @@ class HeartbeatMonitor:
             elapsed_seconds=elapsed,
             docs_per_second=rate,
             eta_seconds=eta,
-            n_forward_docs=getattr(self.perf, "n_forward_docs", 0),
         )
 
 

@@ -47,13 +47,11 @@ from repro.data import (
 )
 from repro.data.lexicon import DomainLexicon
 from repro.eval.parallel import ParallelAttackRunner
-from repro.eval.perf import PerfRecorder
 from repro.eval.progress import ProgressPrinter
 from repro.models import GRUClassifier, LSTMClassifier, TextClassifier, TrainConfig, WCNN, fit
 from repro.nn.serialization import load, save
 from repro.obs.exporter import TelemetryServer, resolve_telemetry_port
 from repro.obs.registry import MetricsRegistry
-from repro.obs.spans import PhaseProfiler
 from repro.obs.trace import TRACE_DIR_ENV
 from repro.text import (
     NGramLM,
@@ -192,15 +190,10 @@ class ExperimentContext:
         self._models: dict[tuple[str, str], TextClassifier] = {}
         self._word_paraphrasers: dict[str, WordParaphraser] = {}
         self._sentence_paraphrasers: dict[str, SentenceParaphraser] = {}
-        # one registry + phase profiler + perf recorder shared by every
-        # victim, paraphraser and attack this context builds; drivers and
-        # benchmarks read/reset them around the sections they measure.  The
-        # profiler mirrors spans into the registry, and the recorder carries
-        # the registry so pool workers ship phase/forward metrics home
-        # through the perf-snapshot merge path.
+        # one registry shared by every victim, paraphraser and attack this
+        # context builds: forward batches, phase spans and frontier gauges
+        # all land here, and pool workers ship their share home into it
         self.metrics = MetricsRegistry()
-        self.profiler = PhaseProfiler(registry=self.metrics)
-        self.perf = PerfRecorder(registry=self.metrics)
 
     # -- corpora -----------------------------------------------------------
     def dataset(self, name: str) -> TextDataset:
@@ -305,7 +298,7 @@ class ExperimentContext:
             fit(model, self.dataset(dataset).train, self.train_config())
             cache_file.parent.mkdir(parents=True, exist_ok=True)
             save(model, cache_file)
-        model.perf = self.perf
+        model.metrics = self.metrics
         self._models[key] = model
         return model
 
@@ -331,7 +324,7 @@ class ExperimentContext:
                 lm=self.language_model(dataset),
                 config=self.paraphrase_config(dataset),
             )
-            paraphraser.profiler = self.profiler
+            paraphraser.metrics = self.metrics
             self._word_paraphrasers[dataset] = paraphraser
         return self._word_paraphrasers[dataset]
 
@@ -399,7 +392,7 @@ class ExperimentContext:
             ),
             **{p: available[p] for p in spec.params if p in available},
         )
-        attack.set_profiler(self.profiler)
+        attack.set_metrics(self.metrics)
         return attack
 
     def journal_path(self, tag: str) -> Path | None:
@@ -453,7 +446,7 @@ class ExperimentContext:
         n_workers: int | None = None,
         chunk_size: int | None = None,
     ) -> ParallelAttackRunner:
-        """A corpus runner for ``attack`` wired to this context's recorder.
+        """A corpus runner for ``attack`` with this context's seed.
 
         Worker precedence: explicit arg, then the context's ``n_workers``,
         then ``REPRO_NUM_WORKERS``/CPU count inside the runner.
@@ -463,5 +456,4 @@ class ExperimentContext:
             n_workers=n_workers if n_workers is not None else self.n_workers,
             chunk_size=chunk_size,
             base_seed=self.settings.seed,
-            perf=self.perf,
         )

@@ -23,6 +23,7 @@ from repro.nn.functional import softmax
 from repro.nn.inference import fused_kernel_for, softmax_np
 from repro.nn.layers import Embedding, Module
 from repro.nn.tensor import Tensor, no_grad
+from repro.obs.registry import MetricsRegistry
 from repro.text.vocab import Vocabulary
 
 __all__ = ["TextClassifier"]
@@ -52,10 +53,9 @@ class TextClassifier(Module):
         self.vocab = vocab
         self.embedding = embedding
         self.max_len = max_len
-        # duck-typed PerfRecorder (repro.eval.perf); models must not import
-        # eval, so anything with record_forward(n_docs, padded_len, seconds)
-        # works here
-        self.perf = None
+        #: registry that receives the ``forward/*`` and ``phase/tokenize_*``
+        #: counters of every batch :meth:`predict_proba` scores
+        self.metrics: MetricsRegistry | None = None
 
     # -- to be provided by subclasses ---------------------------------------
     def forward_from_embeddings(self, emb: Tensor, mask: np.ndarray) -> Tensor:
@@ -157,16 +157,9 @@ class TextClassifier(Module):
                 ids, mask = self.vocab.encode_batch(chunk, pad_len)
                 toc = time.perf_counter()
                 out[idx] = self._probs_batch(ids, mask)
-                if self.perf is not None:
-                    # encode time is reported separately (when the recorder
-                    # understands it) so forward latency is pure model time
-                    record_encode = getattr(self.perf, "record_encode", None)
-                    if record_encode is not None:
-                        record_encode(len(idx), toc - tic)
-                        tic = toc
-                    self.perf.record_forward(
-                        len(idx), pad_len, time.perf_counter() - tic
-                    )
+                if self.metrics is not None:
+                    forward_s = time.perf_counter() - toc  # encode excluded
+                    self.metrics.record_batch(len(idx), pad_len, toc - tic, forward_s)
         return out
 
     def predict(self, docs: Sequence[Sequence[str]], batch_size: int = 128) -> np.ndarray:

@@ -1,14 +1,14 @@
 """Unified observability layer: tracing, metrics, phase spans, reports.
 
-Four pieces, designed to compose with the fork-based parallel runner:
+The pieces compose with the fork-based parallel runner:
 
 - :mod:`repro.obs.trace` — schema-versioned per-document JSONL attack
   traces (``TraceRecorder`` / ``DocumentTrace``), sampled via
   ``trace_every_n``;
-- :mod:`repro.obs.registry` — ``MetricsRegistry`` with counters, gauges
-  and mergeable latency histograms, picklable across pool workers;
-- :mod:`repro.obs.spans` — ``PhaseProfiler`` nestable span timers
-  (tokenize / candidate-gen / forward / greedy-select / lm-filter);
+- :mod:`repro.obs.registry` — ``MetricsRegistry``, the one metrics
+  type: counters, gauges, mergeable latency histograms and nestable phase
+  spans (tokenize / candidate-gen / forward / greedy-select / lm-filter),
+  picklable across pool workers;
 - :mod:`repro.obs.report` — ``metrics.json`` + ``failures.jsonl``
   writers and the markdown run report behind
   ``python -m repro.experiments report <run_dir>``;
@@ -49,7 +49,6 @@ from repro.obs.report import (
     render_report,
     write_run_metrics,
 )
-from repro.obs.spans import PhaseProfiler
 from repro.obs.timeseries import (
     SERIES_FILENAME,
     SERIES_INTERVAL_ENV,
@@ -89,7 +88,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "default_latency_bounds",
-    "PhaseProfiler",
     "METRICS_FILENAME",
     "FAILURES_FILENAME",
     "write_run_metrics",

@@ -1,16 +1,14 @@
-"""Unified metrics registry: counters, gauges, and mergeable histograms.
+"""The one metrics type: counters, gauges, mergeable histograms, phase spans.
 
-One registry instance aggregates every runtime signal the repo used to
-scatter across silos — ``PerfRecorder`` forward counters, ``ScoreCache``
-hit/miss/eviction accounting, :class:`~repro.eval.progress.Heartbeat`
-vitals, and the phase spans of
-:class:`~repro.obs.spans.PhaseProfiler`.  Everything is plain-data and
-picklable, and :meth:`MetricsRegistry.merge` folds a worker's
-:meth:`MetricsRegistry.snapshot` into a parent registry exactly like
-``PerfRecorder.snapshot/merge`` — which is how the
-:class:`~repro.eval.parallel.ParallelAttackRunner` ships worker metrics
-back to the parent (the worker's registry rides inside the perf
-snapshot).
+One registry instance aggregates every runtime signal of an experiment:
+the forward-batch counters the classifiers write in
+``TextClassifier.predict_proba``, the phase spans of attacks and
+paraphrasers (:meth:`MetricsRegistry.span`), ``ScoreCache`` hit/miss/
+eviction accounting and :class:`~repro.eval.progress.Heartbeat` vitals.
+Everything is plain-data and picklable, and :meth:`MetricsRegistry.merge`
+folds a :meth:`MetricsRegistry.snapshot` into another registry — which
+is how the :class:`~repro.eval.parallel.ParallelAttackRunner` ships each
+worker's counters back to the parent.
 
 Histograms use fixed log-spaced buckets (1 µs .. 1000 s by default, four
 buckets per decade) so merging is exact bucket-count addition and
@@ -26,7 +24,16 @@ import math
 import time
 from contextlib import contextmanager
 
-__all__ = ["Histogram", "MetricsRegistry", "default_latency_bounds"]
+__all__ = [
+    "Histogram",
+    "MetricsRegistry",
+    "default_latency_bounds",
+    "forward_buckets",
+    "mean_padded_length",
+]
+
+#: per-padded-length forward counters: ``forward/padded_len/<L>/{batches,docs,seconds}``
+FORWARD_BUCKET_PREFIX = "forward/padded_len/"
 
 
 def default_latency_bounds() -> list[float]:
@@ -137,8 +144,11 @@ class MetricsRegistry:
 
     - ``attack/*``   — per-document outcome accounting (docs, successes,
       n_queries, cache_hits, cache_evictions, wall-time histogram);
-    - ``forward/*``  — model forward-batch counters and latency histogram;
-    - ``phase/*``    — :class:`~repro.obs.spans.PhaseProfiler` span totals;
+    - ``forward/*``  — :meth:`record_batch` forward-batch counters, their
+      per-padded-length split (:func:`forward_buckets`) and the latency
+      histogram;
+    - ``phase/*``    — :meth:`span` totals (``phase/<path>_calls`` and
+      ``phase/<path>_seconds``);
     - ``run/*``      — heartbeat gauges (done, total, failures, docs/s).
 
     Merge semantics: counters add, histograms add bucket-wise, gauges are
@@ -149,6 +159,8 @@ class MetricsRegistry:
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
         self.histograms: dict[str, Histogram] = {}
+        #: names of the open spans, outermost first
+        self._spans: list[str] = []
 
     # -- recording ----------------------------------------------------------
     def inc(self, name: str, amount: float = 1.0) -> None:
@@ -171,6 +183,41 @@ class MetricsRegistry:
             yield
         finally:
             self.observe(name, time.perf_counter() - start)
+
+    def record_batch(
+        self, n_docs: int, padded_len: int, encode_seconds: float, seconds: float
+    ) -> None:
+        """One batch a classifier scored: ``n_docs`` documents padded to
+        ``padded_len``, encoded in ``encode_seconds``, forwarded in ``seconds``."""
+        self.inc("phase/tokenize_calls")
+        self.inc("phase/tokenize_seconds", encode_seconds)
+        self.inc("forward/batches")
+        self.inc("forward/docs", n_docs)
+        self.inc("forward/seconds", seconds)
+        self.observe("forward/batch_seconds", seconds)
+        bucket = f"{FORWARD_BUCKET_PREFIX}{padded_len}/"
+        self.inc(bucket + "batches")
+        self.inc(bucket + "docs", n_docs)
+        self.inc(bucket + "seconds", seconds)
+
+    @contextmanager
+    def span(self, name: str):
+        """Time a phase into ``phase/<path>_calls`` / ``phase/<path>_seconds``.
+
+        Spans opened inside another span extend its path with ``/``
+        (``candidate-gen/lm-filter``), so time spent in the LM filter
+        inside candidate generation stays apart from a stand-alone LM pass.
+        """
+        self._spans.append(name)
+        path = "/".join(self._spans)
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            elapsed = time.perf_counter() - start
+            self._spans.pop()
+            self.inc(f"phase/{path}_calls")
+            self.inc(f"phase/{path}_seconds", elapsed)
 
     # -- reading ------------------------------------------------------------
     def counter(self, name: str) -> float:
@@ -217,3 +264,22 @@ class MetricsRegistry:
         self.counters.clear()
         self.gauges.clear()
         self.histograms.clear()
+
+
+def forward_buckets(counters: dict[str, float]) -> dict[int, dict[str, float]]:
+    """``{padded_len: {"batches", "docs", "seconds"}}`` from forward counters."""
+    buckets: dict[int, dict[str, float]] = {}
+    for name, value in counters.items():
+        if name.startswith(FORWARD_BUCKET_PREFIX):
+            padded_len, field = name[len(FORWARD_BUCKET_PREFIX) :].split("/")
+            buckets.setdefault(int(padded_len), {})[field] = value
+    return dict(sorted(buckets.items()))
+
+
+def mean_padded_length(counters: dict[str, float]) -> float:
+    """Document-weighted mean padded length over every forward batch."""
+    buckets = forward_buckets(counters)
+    docs = sum(entry.get("docs", 0.0) for entry in buckets.values())
+    if not docs:
+        return 0.0
+    return sum(length * entry.get("docs", 0.0) for length, entry in buckets.items()) / docs

@@ -88,12 +88,10 @@ class TestRunJournal:
         failure = AttackFailure(1, 0, "RuntimeError", "boom", "tb", 7, ["a"])
         journal.record(4, result, seed_index=0)
         journal.record(9, failure, seed_index=1)
-        journal.record_perf({"n_forward_docs": 3})
 
         reloaded = RunJournal(path, header={"seed": 0, "attack": "x"})
         assert reloaded.completed_indices() == {4, 9}
         assert reloaded.outcomes() == {4: result, 9: failure}
-        assert reloaded.perf_snapshots == [{"n_forward_docs": 3}]
 
     def test_header_mismatch_refuses_resume(self, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -135,11 +133,10 @@ class TestEvaluateAttackResume:
         ev = evaluate_attack(victim, attack, journal_path=path, **run_kwargs)
         journal = RunJournal(path)
         assert len(journal.outcomes()) == ev.n_attacked
-        # one perf record from the attached recorder (the victim fixture
-        # carries none by default) is optional; results are what matter
         kinds = [json.loads(line)["kind"] for line in path.read_text().splitlines()]
         assert kinds[0] == "header"
         assert kinds.count("result") == ev.n_attacked
+        assert "perf" not in kinds
 
     def test_interrupt_then_resume_matches_fresh_run(
         self, victim, word_paraphraser, run_kwargs, tmp_path
@@ -213,6 +210,27 @@ class TestEvaluateAttackResume:
         )
         assert replay_attack.attack_log == []
         assert replay.results == first.results
+        assert replay.summary() == first.summary()
+
+    def test_old_journal_with_perf_records_resumes_bitwise(
+        self, victim, word_paraphraser, run_kwargs, tmp_path
+    ):
+        """Older versions appended forward-counter ``perf`` lines; a journal
+        holding them still resumes without re-attacking anything."""
+        path = tmp_path / "run.jsonl"
+        attack = CountingRandomAttack(victim, word_paraphraser, 0.3, seed=5)
+        first = evaluate_attack(victim, attack, journal_path=path, **run_kwargs)
+        perf_line = {"kind": "perf", "snapshot": {"n_forward_docs": 3, "buckets": {}}}
+        lines = path.read_text().splitlines()
+        lines.insert(2, json.dumps(perf_line))
+        path.write_text("\n".join([*lines, json.dumps(perf_line)]) + "\n")
+
+        replay_attack = CountingRandomAttack(victim, word_paraphraser, 0.3, seed=5)
+        replay = evaluate_attack(victim, replay_attack, journal_path=path, **run_kwargs)
+        assert replay_attack.attack_log == []
+        assert replay.results == first.results
+        assert replay.failures == first.failures
+        assert replay.adversarial_examples == first.adversarial_examples
         assert replay.summary() == first.summary()
 
     def test_journal_refuses_different_run(

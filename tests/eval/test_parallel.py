@@ -17,12 +17,13 @@ from repro.eval.parallel import (
     ParallelAttackRunner,
     WorkerCountError,
     _WORKER,
+    _attack_chunk,
     _document_seed,
     _init_worker,
     fork_available,
     resolve_num_workers,
 )
-from repro.eval.perf import PerfRecorder
+from repro.obs.registry import MetricsRegistry, forward_buckets
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable on this platform"
@@ -116,32 +117,38 @@ class TestResolveNumWorkers:
         assert issubclass(WorkerCountError, ValueError)
 
 
-class TestWorkerPerfAttachment:
-    def test_untracked_worker_detaches_forked_recorder(self, victim, word_paraphraser):
-        # with track_perf=False the fork-copied parent recorder must be
-        # dropped, not silently recorded into
-        attack = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2)
-        prev = victim.perf
-        victim.perf = PerfRecorder()
-        try:
-            _init_worker(attack, 0, track_perf=False)
-            assert victim.perf is None
-            assert _WORKER["recorder"] is None
-        finally:
-            victim.perf = prev
+class TestWorkerMetrics:
+    """The worker side of the pool protocol, run in-process: the chunk
+    resets the (fork-copied) ``attack.metrics`` and returns its snapshot."""
 
-    def test_tracked_worker_gets_fresh_recorder(self, victim, word_paraphraser):
+    def test_worker_without_registry_ships_nothing(
+        self, victim, word_paraphraser, corpus_slice
+    ):
+        docs, targets = corpus_slice
         attack = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2)
-        prev = victim.perf
-        parent_recorder = PerfRecorder()
-        victim.perf = parent_recorder
+        _init_worker(attack, 0)
+        out, snapshot = _attack_chunk([(0, docs[0], targets[0])])
+        assert [idx for idx, _ in out] == [0]
+        assert snapshot is None
+
+    def test_worker_ships_only_its_chunk(self, victim, word_paraphraser, corpus_slice):
+        docs, targets = corpus_slice
+        attack = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2)
+        registry = MetricsRegistry()
+        registry.inc("forward/docs", 1000)  # the parent's counts a fork copies
+        attack.set_metrics(registry)
+        victim.metrics = registry
         try:
-            _init_worker(attack, 0, track_perf=True)
-            assert isinstance(victim.perf, PerfRecorder)
-            assert victim.perf is not parent_recorder
-            assert _WORKER["recorder"] is victim.perf
+            _init_worker(attack, 0)
+            # the worker keeps every object on the one registry it inherited
+            assert _WORKER["attack"].metrics is victim.metrics is registry
+            _, snapshot = _attack_chunk([(0, docs[0], targets[0])])
         finally:
-            victim.perf = prev
+            victim.metrics = None
+        counters = snapshot["counters"]
+        assert 0 < counters["forward/docs"] < 1000
+        assert counters["phase/greedy-select_calls"] >= 1
+        assert snapshot == registry.snapshot()
 
 
 class TestRunnerValidation:
@@ -207,33 +214,35 @@ class TestPerfMerge:
     ):
         docs, targets = corpus_slice
         attack = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2)
-        prev = victim.perf
+        counters = {}
         try:
-            serial_rec = PerfRecorder()
-            victim.perf = serial_rec
-            ParallelAttackRunner(attack, n_workers=1, perf=serial_rec).run(docs, targets)
-            victim.perf = None
-            pool_rec = PerfRecorder()
-            ParallelAttackRunner(attack, n_workers=2, perf=pool_rec).run(docs, targets)
+            for n_workers in (1, 2):
+                registry = MetricsRegistry()
+                attack.set_metrics(registry)
+                victim.metrics = registry
+                ParallelAttackRunner(attack, n_workers=n_workers).run(docs, targets)
+                counters[n_workers] = registry.counters
         finally:
-            victim.perf = prev
-        assert pool_rec.n_forward_docs == serial_rec.n_forward_docs
-        assert pool_rec.n_forward_batches == serial_rec.n_forward_batches
-        assert pool_rec.forward_seconds > 0.0
+            victim.metrics = None
+        serial, pooled = counters[1], counters[2]
+        for name in ("forward/docs", "forward/batches", "phase/greedy-select_calls"):
+            assert pooled[name] == serial[name] > 0
+        assert forward_buckets(pooled).keys() == forward_buckets(serial).keys()
+        assert pooled["forward/seconds"] > 0.0
 
     def test_snapshot_merge_roundtrip(self):
-        a = PerfRecorder()
-        a.record_forward(4, 16, 0.25)
-        a.increment("queries", 7)
-        b = PerfRecorder()
-        b.record_forward(2, 16, 0.5)
-        b.record_forward(1, 32, 0.125)
+        a = MetricsRegistry()
+        a.record_batch(4, 16, 0.0, 0.25)
+        a.inc("queries", 7)
+        b = MetricsRegistry()
+        b.record_batch(2, 16, 0.0, 0.5)
+        b.record_batch(1, 32, 0.0, 0.125)
         b.merge(a.snapshot())
-        assert b.n_forward_docs == 7
-        assert b.n_forward_batches == 3
-        assert b.forward_seconds == 0.875
-        assert b.buckets[16].n_docs == 6
-        assert b.counters["queries"] == 7
+        assert b.counter("forward/docs") == 7
+        assert b.counter("forward/batches") == 3
+        assert b.counter("forward/seconds") == 0.875
+        assert forward_buckets(b.counters)[16]["docs"] == 6
+        assert b.counter("queries") == 7
 
 
 class TestReseed:

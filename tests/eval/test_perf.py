@@ -1,64 +1,56 @@
-"""Tests for the perf instrumentation (PerfRecorder + BENCH json schema)."""
+"""Forward counters in the metrics registry, and the BENCH json schema."""
 
 import json
 
 import numpy as np
 import pytest
 
-from repro.eval import BucketStats, PerfRecorder, read_bench_json, write_bench_json
+from repro.eval import read_bench_json, write_bench_json
+from repro.obs.registry import MetricsRegistry, forward_buckets, mean_padded_length
 
 
-class TestPerfRecorder:
+def record(reg: MetricsRegistry, n_docs: int, padded_len: int, seconds: float) -> None:
+    reg.record_batch(n_docs, padded_len, encode_seconds=0.0, seconds=seconds)
+
+
+class TestForwardCounters:
     def test_record_forward_accumulates(self):
-        rec = PerfRecorder()
-        rec.record_forward(n_docs=4, padded_len=16, seconds=0.5)
-        rec.record_forward(n_docs=2, padded_len=16, seconds=0.25)
-        rec.record_forward(n_docs=1, padded_len=64, seconds=1.25)
-        assert rec.n_forward_batches == 3
-        assert rec.n_forward_docs == 7
-        assert rec.forward_seconds == pytest.approx(2.0)
-        assert set(rec.buckets) == {16, 64}
-        assert rec.buckets[16] == BucketStats(16, n_batches=2, n_docs=6, seconds=0.75)
-
-    def test_docs_per_second(self):
-        rec = PerfRecorder()
-        assert rec.docs_per_second() == 0.0
-        rec.record_forward(10, 8, 2.0)
-        assert rec.docs_per_second() == pytest.approx(5.0)
+        reg = MetricsRegistry()
+        record(reg, n_docs=4, padded_len=16, seconds=0.5)
+        record(reg, n_docs=2, padded_len=16, seconds=0.25)
+        record(reg, n_docs=1, padded_len=64, seconds=1.25)
+        assert reg.counter("forward/batches") == 3
+        assert reg.counter("forward/docs") == 7
+        assert reg.counter("forward/seconds") == pytest.approx(2.0)
+        assert reg.histogram("forward/batch_seconds").count == 3
+        assert reg.counter("phase/tokenize_calls") == 3
+        # the per-length counters are named forward/padded_len/<L>/<field>
+        assert reg.counter("forward/padded_len/16/docs") == 6
+        assert forward_buckets(reg.counters) == {
+            16: {"batches": 2.0, "docs": 6.0, "seconds": 0.75},
+            64: {"batches": 1.0, "docs": 1.0, "seconds": 1.25},
+        }
 
     def test_mean_padded_length_is_doc_weighted(self):
-        rec = PerfRecorder()
-        assert rec.mean_padded_length() == 0.0
-        rec.record_forward(3, 10, 0.1)
-        rec.record_forward(1, 50, 0.1)
-        assert rec.mean_padded_length() == pytest.approx((3 * 10 + 1 * 50) / 4)
-
-    def test_increment_and_timer(self):
-        rec = PerfRecorder()
-        rec.increment("attacks")
-        rec.increment("attacks", 2.0)
-        assert rec.counters["attacks"] == 3.0
-        with rec.timer("phase"):
-            pass
-        assert rec.counters["phase_seconds"] >= 0.0
+        reg = MetricsRegistry()
+        assert mean_padded_length(reg.counters) == 0.0
+        record(reg, 3, 10, 0.1)
+        record(reg, 1, 50, 0.1)
+        assert mean_padded_length(reg.counters) == pytest.approx((3 * 10 + 1 * 50) / 4)
 
     def test_summary_roundtrips_through_json(self):
-        rec = PerfRecorder()
-        rec.record_forward(5, 12, 0.3)
-        rec.increment("n_attacks")
-        summary = rec.summary()
-        assert json.loads(json.dumps(summary)) == summary
-        assert summary["n_forward_docs"] == 5
-        assert summary["buckets"]["12"]["n_docs"] == 5
+        reg = MetricsRegistry()
+        record(reg, 5, 12, 0.3)
+        snapshot = json.loads(json.dumps(reg.snapshot()))
+        assert forward_buckets(MetricsRegistry().merge(snapshot).counters) == {
+            12: {"batches": 1.0, "docs": 5.0, "seconds": 0.3}
+        }
 
     def test_reset(self):
-        rec = PerfRecorder()
-        rec.record_forward(5, 12, 0.3)
-        rec.increment("x")
-        rec.reset()
-        assert rec.n_forward_batches == 0
-        assert rec.buckets == {}
-        assert rec.counters == {}
+        reg = MetricsRegistry()
+        record(reg, 5, 12, 0.3)
+        reg.reset()
+        assert forward_buckets(reg.counters) == {}
 
 
 class TestBenchJson:
@@ -89,18 +81,23 @@ class TestBenchJson:
 
 class TestModelIntegration:
     def test_classifier_reports_into_attached_recorder(self, victim, atk_corpus):
-        rec = PerfRecorder()
+        reg = MetricsRegistry()
         docs = atk_corpus.documents("test")[:8]
-        victim.perf = rec
+        victim.metrics = reg
         try:
             victim.predict_proba(docs)
         finally:
-            victim.perf = None
-        assert rec.n_forward_docs == len(docs)
-        assert rec.n_forward_batches >= 1
-        assert rec.forward_seconds > 0.0
+            victim.metrics = None
+        assert reg.counter("forward/docs") == len(docs)
+        assert reg.counter("forward/batches") >= 1
+        assert reg.counter("forward/seconds") > 0.0
+        assert reg.histogram("forward/batch_seconds").count == reg.counter("forward/batches")
+        assert reg.counter("phase/tokenize_calls") == reg.counter("forward/batches")
+        buckets = forward_buckets(reg.counters)
+        assert sum(b["docs"] for b in buckets.values()) == len(docs)
+        assert sum(b["batches"] for b in buckets.values()) == reg.counter("forward/batches")
         # bucketed inference pads below max_len on these short docs
-        assert rec.mean_padded_length() <= victim.max_len
+        assert mean_padded_length(reg.counters) <= victim.max_len
 
     def test_no_recorder_is_the_default(self, victim):
-        assert victim.perf is None or isinstance(victim.perf, PerfRecorder)
+        assert victim.metrics is None or isinstance(victim.metrics, MetricsRegistry)

@@ -1,11 +1,13 @@
 """Tests for the run-matrix engine: declarations, cell resolution, the
 runner's victim assembly, and per-cell journaling/observability."""
 
+import json
 import pickle
 
 import numpy as np
 import pytest
 
+from repro.eval.parallel import fork_available
 from repro.experiments import ExperimentContext, ExperimentSettings
 from repro.experiments.grid import (
     Cell,
@@ -184,3 +186,52 @@ class TestGridRunner:
         )
         ev = frame.results[0].evaluation
         assert all(r.n_queries <= 10 for r in ev.results)
+
+
+class TestPooledCellMetrics:
+    """Every cell's metrics.json carries the context registry, and pool
+    workers' forward and phase counters reach it, wrapped victims too."""
+
+    @pytest.fixture(scope="class")
+    def counters(self, tmp_path_factory):
+        cache_dir = tmp_path_factory.mktemp("pooled_cache")
+        runs: dict[tuple[str, int], dict] = {}
+
+        def run(defense: str, n_workers: int) -> dict:
+            if (defense, n_workers) not in runs:
+                trace_dir = tmp_path_factory.mktemp(f"traces_{defense}_{n_workers}")
+                context = ExperimentContext(
+                    SETTINGS, cache_dir=cache_dir, n_workers=n_workers, trace_dir=trace_dir
+                )
+                GridRunner(context).run(
+                    small_matrix(
+                        attacks=(MatrixAttack.of("greedy_word"),),
+                        defenses=(MatrixDefense.of(defense),),
+                        max_examples=4,
+                    )
+                )
+                (path,) = trace_dir.rglob("metrics.json")
+                runs[defense, n_workers] = json.loads(path.read_text())["context"]
+            return runs[defense, n_workers]
+
+        return run
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("defense", ["none", "smoothing"])
+    def test_context_counters_match_serial(self, counters, defense, n_workers):
+        if n_workers > 1 and not fork_available():
+            pytest.skip("fork start method unavailable on this platform")
+        context = counters(defense, n_workers)
+        assert context is not None
+        got = context["counters"]
+        want = counters(defense, 1)["counters"]
+        names = ["forward/batches", "forward/docs"] + sorted(
+            name
+            for name in {*got, *want}
+            if name.startswith("phase/") and name.endswith("_calls")
+        )
+        assert "phase/greedy-select_calls" in names
+        assert want["forward/docs"] > 0
+        assert {name: got.get(name) for name in names} == {
+            name: want.get(name) for name in names
+        }

@@ -4,10 +4,12 @@ import json
 
 import pytest
 
-from repro.obs.registry import MetricsRegistry
+from repro.obs.compare import compare_runs, summarize_run_dir
+from repro.obs.registry import MetricsRegistry, forward_buckets
 from repro.obs.report import (
     FAILURES_FILENAME,
     METRICS_FILENAME,
+    METRICS_SCHEMA_VERSION,
     append_failure,
     load_failures,
     load_run_metrics,
@@ -19,8 +21,14 @@ from repro.obs.trace import DocumentTrace
 
 
 @pytest.fixture
-def run_dir(tmp_path):
-    """A synthetic two-document traced run with metrics and one failure."""
+def run_dir(request, tmp_path):
+    """A synthetic two-document traced run with metrics and one failure.
+
+    Written in the current ``metrics.json`` schema unless indirectly
+    parametrized with ``1``: the version that kept forward counters in a
+    separate ``perf`` section.
+    """
+    schema_version = getattr(request, "param", METRICS_SCHEMA_VERSION)
     for doc_index, (n_queries, success) in enumerate([(6, True), (10, False)]):
         trace = DocumentTrace(
             tmp_path / f"trace-{doc_index:06d}.jsonl", doc_index, seed=doc_index
@@ -64,15 +72,28 @@ def run_dir(tmp_path):
     context.inc("phase/forward_calls", 16)
     context.inc("phase/forward_seconds", 0.2)
     context.observe("forward/batch_seconds", 0.01)
-    perf = {
-        "n_forward_batches": 4,
-        "n_forward_docs": 16,
-        "forward_seconds": 0.2,
-        "buckets": {"32": {"n_batches": 4, "n_docs": 16, "seconds": 0.2}},
-    }
-    write_run_metrics(
-        tmp_path, run.snapshot(), context_snapshot=context.snapshot(), perf_snapshot=perf
-    )
+    context.inc("forward/batches", 4)
+    context.inc("forward/docs", 16)
+    context.inc("forward/seconds", 0.2)
+    if schema_version == 1:
+        payload = {
+            "schema_version": 1,
+            "run": run.snapshot(),
+            "context": context.snapshot(),
+            "perf": {
+                "n_forward_batches": 4,
+                "n_forward_docs": 16,
+                "forward_seconds": 0.2,
+                "buckets": {"32": {"n_batches": 4, "n_docs": 16, "seconds": 0.2}},
+                "counters": {},
+            },
+        }
+        (tmp_path / METRICS_FILENAME).write_text(json.dumps(payload))
+    else:
+        context.inc("forward/padded_len/32/batches", 4)
+        context.inc("forward/padded_len/32/docs", 16)
+        context.inc("forward/padded_len/32/seconds", 0.2)
+        write_run_metrics(tmp_path, run.snapshot(), context_snapshot=context.snapshot())
     append_failure(
         tmp_path,
         {"doc_index": 5, "error_type": "ValueError", "error_message": "bad doc"},
@@ -86,7 +107,7 @@ class TestWriteRunMetrics:
         reg.inc("attack/docs", 3)
         path = write_run_metrics(tmp_path, reg.snapshot())
         payload = json.loads(path.read_text())
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == METRICS_SCHEMA_VERSION == 2
         assert payload["run"]["counters"]["attack/docs"] == 3
         # deterministic byte-for-byte output: keys sorted
         assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -102,15 +123,15 @@ class TestWriteRunMetrics:
         assert payload["run"]["counters"]["attack/docs"] == 6
         assert payload["run"]["histograms"]["attack/wall_time_seconds"]["count"] == 2
 
-    def test_registry_key_stripped_from_perf(self, tmp_path):
+    def test_forward_counters_live_in_context_only(self, tmp_path):
+        context = MetricsRegistry()
+        context.inc("forward/docs", 2)
         path = write_run_metrics(
-            tmp_path,
-            MetricsRegistry().snapshot(),
-            perf_snapshot={"n_forward_docs": 2, "registry": {"counters": {}}},
+            tmp_path, MetricsRegistry().snapshot(), context_snapshot=context.snapshot()
         )
         payload = json.loads(path.read_text())
-        assert "registry" not in payload["perf"]
-        assert payload["perf"]["n_forward_docs"] == 2
+        assert set(payload) == {"schema_version", "run", "context"}
+        assert payload["context"]["counters"]["forward/docs"] == 2
 
     def test_corrupt_existing_file_is_replaced(self, tmp_path):
         (tmp_path / METRICS_FILENAME).write_text("{not json")
@@ -129,6 +150,20 @@ class TestLoaders:
         loaded = load_run_metrics(tmp_path)
         assert loaded["run"].counter("attack/docs") == 5
         assert set(loaded["per_cell"]) == {"yelp", "fake-news"}
+
+    @pytest.mark.parametrize("run_dir", [1, 2], indirect=True)
+    def test_both_schema_versions_load_and_compare(self, run_dir):
+        context = load_run_metrics(run_dir)["context"]
+        assert context["counters"]["forward/docs"] == 16
+        assert forward_buckets(context["counters"]) == {
+            32: {"batches": 4, "docs": 16, "seconds": 0.2}
+        }
+        assert summarize_run_dir(run_dir)["docs"] == 2
+        assert compare_runs(run_dir, run_dir).ok
+        report = render_report(run_dir)
+        assert "| forward batches | 4 |" in report
+        assert "| forward docs | 16 |" in report
+        assert "| 32 | 4 | 16 | 0.200 |" in report
 
     def test_load_failures_tolerates_truncated_line(self, tmp_path):
         append_failure(tmp_path, {"error_type": "OSError", "error_message": "x"})
@@ -186,13 +221,15 @@ class TestRenderReport:
         assert "| lazy-heap rescans | 6 |" in report
         assert "| candidate-gen |" in report
         assert "batch latency p50" in report
+        assert "| forward batches | 4 |" in report
+        assert "| 32 | 4 | 16 | 0.200 |" in report
         assert "| ValueError | 1 | bad doc |" in report
 
     def test_empty_run_dir_renders_placeholders(self, tmp_path):
         report = render_report(tmp_path)
         assert "| documents traced | 0 |" in report
         assert "_no phase spans recorded_" in report
-        assert "_no perf snapshot recorded_" in report
+        assert "_no forward batches recorded_" in report
         assert "_no failures_" in report
 
     def test_per_cell_table_appears_with_multiple_cells(self, tmp_path):

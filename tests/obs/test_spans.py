@@ -1,66 +1,74 @@
-"""PhaseProfiler: nested span paths, registry mirroring, merging."""
+"""MetricsRegistry.span: nested span paths, phase counters, attachment, merging."""
 
 import pytest
 
+from repro.attacks.base import Attack
 from repro.obs.registry import MetricsRegistry
-from repro.obs.spans import PhaseProfiler
+from repro.obs.report import render_phase_table
+
+
+def phases(reg: MetricsRegistry) -> set[str]:
+    """Span paths that recorded at least one call."""
+    return {
+        name[len("phase/") : -len("_calls")]
+        for name in reg.counters
+        if name.startswith("phase/") and name.endswith("_calls")
+    }
 
 
 class TestSpanNesting:
     def test_flat_span_accumulates(self):
-        prof = PhaseProfiler()
-        with prof.span("tokenize"):
+        reg = MetricsRegistry()
+        with reg.span("tokenize"):
             pass
-        with prof.span("tokenize"):
+        with reg.span("tokenize"):
             pass
-        report = prof.report()
-        assert report["tokenize"]["calls"] == 2
-        assert report["tokenize"]["seconds"] >= 0.0
+        assert reg.counter("phase/tokenize_calls") == 2.0
+        assert reg.counter("phase/tokenize_seconds") >= 0.0
 
     def test_nested_spans_compose_slash_paths(self):
-        prof = PhaseProfiler()
-        with prof.span("candidate-gen"):
-            with prof.span("lm-filter"):
+        reg = MetricsRegistry()
+        with reg.span("candidate-gen"):
+            with reg.span("lm-filter"):
                 pass
-        with prof.span("lm-filter"):
+        with reg.span("lm-filter"):
             pass
-        report = prof.report()
         # nested LM time is distinguishable from a stand-alone LM pass
-        assert set(report) == {"candidate-gen", "candidate-gen/lm-filter", "lm-filter"}
-        assert report["candidate-gen/lm-filter"]["calls"] == 1
-        assert report["lm-filter"]["calls"] == 1
+        assert phases(reg) == {"candidate-gen", "candidate-gen/lm-filter", "lm-filter"}
+        assert reg.counter("phase/candidate-gen/lm-filter_calls") == 1.0
+        assert reg.counter("phase/lm-filter_calls") == 1.0
 
     def test_outer_span_time_includes_inner(self):
-        prof = PhaseProfiler()
-        with prof.span("outer"):
-            with prof.span("inner"):
+        reg = MetricsRegistry()
+        with reg.span("outer"):
+            with reg.span("inner"):
                 pass
-        report = prof.report()
-        assert report["outer"]["seconds"] >= report["outer/inner"]["seconds"]
+        assert reg.counter("phase/outer_seconds") >= reg.counter("phase/outer/inner_seconds")
 
     def test_stack_unwinds_on_exception(self):
-        prof = PhaseProfiler()
+        reg = MetricsRegistry()
         with pytest.raises(RuntimeError):
-            with prof.span("outer"):
+            with reg.span("outer"):
                 raise RuntimeError("boom")
-        with prof.span("after"):
+        with reg.span("after"):
             pass
-        assert set(prof.report()) == {"outer", "after"}  # not "outer/after"
+        assert phases(reg) == {"outer", "after"}  # not "outer/after"
+        assert reg.counter("phase/outer_calls") == 1.0  # the raising span still counts
 
     def test_report_is_sorted_by_path(self):
-        prof = PhaseProfiler()
+        reg = MetricsRegistry()
         for name in ("zeta", "alpha"):
-            with prof.span(name):
+            with reg.span(name):
                 pass
-        assert list(prof.report()) == ["alpha", "zeta"]
+        table = render_phase_table(reg.counters)
+        assert table.index("| alpha |") < table.index("| zeta |")
 
 
 class TestRegistryMirror:
     def test_spans_mirror_into_phase_counters(self):
         reg = MetricsRegistry()
-        prof = PhaseProfiler(registry=reg)
-        with prof.span("greedy-select"):
-            with prof.span("forward"):
+        with reg.span("greedy-select"):
+            with reg.span("forward"):
                 pass
         assert reg.counter("phase/greedy-select_calls") == 1.0
         assert reg.counter("phase/greedy-select/forward_calls") == 1.0
@@ -69,33 +77,39 @@ class TestRegistryMirror:
         )
 
     def test_no_registry_is_fine(self):
-        prof = PhaseProfiler(registry=None)
-        with prof.span("a"):
+        attack = Attack(model=None)
+        with attack._span("a"):
             pass
-        assert prof.report()["a"]["calls"] == 1
+        assert attack.metrics is None
 
     def test_rebinding_registry_redirects_mirror(self):
-        """_init_worker rebinds the shared profiler to the worker registry."""
-        prof = PhaseProfiler(registry=MetricsRegistry())
+        """set_metrics re-points an attack and its sub-attacks."""
+        attack = Attack(model=None)
+        attack.stage = Attack(model=None)
+        attack.set_metrics(MetricsRegistry())
         worker_reg = MetricsRegistry()
-        prof.registry = worker_reg
-        with prof.span("forward"):
+        attack.set_metrics(worker_reg)
+        assert attack.stage.metrics is worker_reg
+        with attack.stage._span("forward"):
             pass
         assert worker_reg.counter("phase/forward_calls") == 1.0
 
 
 class TestMerging:
     def test_merge_sums_calls_and_seconds(self):
-        a, b = PhaseProfiler(), PhaseProfiler()
-        for prof in (a, b):
-            with prof.span("forward"):
+        a, b = MetricsRegistry(), MetricsRegistry()
+        for reg in (a, b):
+            with reg.span("forward"):
                 pass
-        merged = PhaseProfiler().merge(a.snapshot()).merge(b)
-        assert merged.report()["forward"]["calls"] == 2
+        merged = MetricsRegistry().merge(a.snapshot()).merge(b)
+        assert merged.counter("phase/forward_calls") == 2.0
+        assert merged.counter("phase/forward_seconds") == pytest.approx(
+            a.counter("phase/forward_seconds") + b.counter("phase/forward_seconds")
+        )
 
     def test_reset(self):
-        prof = PhaseProfiler()
-        with prof.span("x"):
+        reg = MetricsRegistry()
+        with reg.span("x"):
             pass
-        prof.reset()
-        assert prof.report() == {}
+        reg.reset()
+        assert phases(reg) == set()
