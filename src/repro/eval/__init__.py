@@ -21,10 +21,10 @@ from repro.eval.parallel import (
     WorkerCountError,
     WorkerCrashError,
     fork_available,
-    resolve_num_workers,
 )
 from repro.eval.perf import read_bench_json, write_bench_json
 from repro.eval.progress import Heartbeat, HeartbeatMonitor, ProgressPrinter
+from repro.eval.run_config import RunConfig
 from repro.eval.reporting import (
     format_markdown_table,
     format_percent,
@@ -41,7 +41,7 @@ __all__ = [
     "WorkerCountError",
     "WorkerCrashError",
     "fork_available",
-    "resolve_num_workers",
+    "RunConfig",
     "RunJournal",
     "JournalError",
     "JournalMismatchError",

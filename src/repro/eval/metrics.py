@@ -45,14 +45,11 @@ import numpy as np
 from repro.attacks.base import Attack, AttackFailure, AttackResult
 from repro.data.datasets import Example
 from repro.eval.journal import RunJournal, corpus_fingerprint
-from repro.eval.parallel import (
-    NUM_WORKERS_ENV,
-    ParallelAttackRunner,
-    resolve_num_workers,
-)
+from repro.eval.parallel import ParallelAttackRunner
 from repro.eval.progress import HeartbeatMonitor
+from repro.eval.run_config import RunConfig
 from repro.models.base import TextClassifier
-from repro.obs.exporter import TelemetryServer, resolve_telemetry_port
+from repro.obs.exporter import TelemetryServer
 from repro.obs.registry import MetricsRegistry
 from repro.obs.report import append_failure, write_run_metrics
 from repro.obs.timeseries import SERIES_FILENAME, TimeSeriesSampler
@@ -122,24 +119,23 @@ def evaluate_attack(
     examples: list[Example],
     max_examples: int | None = None,
     seed: int = 0,
-    n_workers: int | None = None,
+    run: RunConfig | None = None,
     journal_path: str | os.PathLike | None = None,
     progress=None,
     trace_dir: str | os.PathLike | None = None,
-    trace_every_n: int | None = None,
     telemetry: TelemetryServer | None = None,
-    telemetry_port: int | None = None,
 ) -> AttackEvaluation:
     """Attack every correctly-classified example and aggregate the outcome.
 
     The target label is always the flip of the true label (binary,
     untargeted-as-targeted, the paper's setting).
 
-    ``n_workers`` > 1 shards the per-document attack loop across forked
-    processes via :class:`~repro.eval.parallel.ParallelAttackRunner`
-    (results are deterministic in the worker count; the serial path is
-    the same runner with one worker).  The default of ``None`` stays
-    serial unless ``REPRO_NUM_WORKERS`` is set.
+    ``run`` carries the resolved :class:`~repro.eval.run_config.RunConfig`
+    (``None`` resolves one from the environment).  ``run.n_workers`` > 1
+    shards the per-document attack loop across forked processes via
+    :class:`~repro.eval.parallel.ParallelAttackRunner` (results are
+    deterministic in the worker count; the serial path is the same
+    runner with one worker).
 
     ``journal_path`` appends each completed document to a JSONL run
     journal and resumes from it if it already exists (see module
@@ -147,19 +143,18 @@ def evaluate_attack(
     :class:`~repro.eval.progress.Heartbeat` per completed document.
 
     ``trace_dir`` writes per-document attack traces, ``failures.jsonl``
-    and ``metrics.json`` into that directory; ``trace_every_n`` samples
-    the traces (every n-th document, default 1 via
-    ``REPRO_TRACE_EVERY_N``).
+    and ``metrics.json`` into that directory; ``run.trace_every_n``
+    samples the traces (every n-th document).
 
     ``telemetry`` attaches a caller-owned (typically
     :class:`~repro.experiments.common.ExperimentContext`-owned)
     :class:`~repro.obs.exporter.TelemetryServer`: this run's live
     registry, health and series are published to it while the run is
     alive and frozen into it at the end, so post-run scrapes match
-    ``metrics.json``.  Without one, ``telemetry_port`` (or
-    ``REPRO_TELEMETRY_PORT``) makes this call start and stop its own
-    exporter.  Either way a :class:`~repro.obs.timeseries.
-    TimeSeriesSampler` records the run's trajectory — riding the
+    ``metrics.json``.  Without one, ``run.telemetry_port`` makes this
+    call start and stop its own exporter.  Either way a
+    :class:`~repro.obs.timeseries.TimeSeriesSampler` records the run's
+    trajectory every ``run.series_interval`` seconds — riding the
     heartbeat in serial runs, on a background thread under the pool —
     into ``series.jsonl`` next to ``metrics.json`` when ``trace_dir`` is
     set.  Telemetry is read-only: attack results are bitwise identical
@@ -167,6 +162,8 @@ def evaluate_attack(
     """
     if not examples:
         raise ValueError("cannot evaluate an attack on zero examples")
+    if run is None:
+        run = RunConfig.from_env()
     if max_examples is not None and len(examples) > max_examples:
         rng = np.random.default_rng(seed)
         idx = rng.choice(len(examples), size=max_examples, replace=False)
@@ -185,10 +182,6 @@ def evaluate_attack(
         # misclassified examples are already errors; they stay unperturbed
         # and remain errors in adversarial accuracy
     ]
-
-    if n_workers is None:
-        env_set = bool(os.environ.get(NUM_WORKERS_ENV, "").strip())
-        n_workers = resolve_num_workers(None) if env_set else 1
 
     # -- journal: load completed outcomes, schedule only the remainder ------
     journal: RunJournal | None = None
@@ -232,16 +225,15 @@ def evaluate_attack(
 
     server = telemetry
     own_server = False
-    if server is None:
-        port = resolve_telemetry_port(telemetry_port)
-        if port is not None:
-            server = TelemetryServer(port=port)
-            own_server = True
+    if server is None and run.telemetry_port is not None:
+        server = TelemetryServer(port=run.telemetry_port)
+        own_server = True
     sampler: TimeSeriesSampler | None = None
     if trace_dir is not None or server is not None:
         sampler = TimeSeriesSampler(
             _live_snapshot,
             path=Path(trace_dir) / SERIES_FILENAME if trace_dir is not None else None,
+            interval_seconds=run.series_interval,
         )
     monitor = HeartbeatMonitor(
         total=len(attacked),
@@ -283,19 +275,19 @@ def evaluate_attack(
     fresh: dict[int, AttackResult | AttackFailure] = {}
     prior_tracer = attack.tracer
     if trace_dir is not None:
-        attack.tracer = TraceRecorder(trace_dir, trace_every_n=trace_every_n)
+        attack.tracer = TraceRecorder(trace_dir, trace_every_n=run.trace_every_n)
     try:
         if todo:
-            if sampler is not None and n_workers > 1:
-                # pooled chunk results land bursty; a parent-side thread
-                # keeps the cadence steady between heartbeats
-                sampler.start()
             runner = ParallelAttackRunner(
                 attack,
-                n_workers=n_workers,
+                n_workers=run.n_workers,
                 base_seed=seed,
                 on_result=on_result,
             )
+            if sampler is not None and runner.n_workers > 1:
+                # pooled chunk results land bursty; a parent-side thread
+                # keeps the cadence steady between heartbeats
+                sampler.start()
             outcomes = runner.run(
                 [doc for _, _, doc, _ in todo],
                 [target for _, _, _, target in todo],

@@ -50,21 +50,16 @@ processes:
   runner degrades to an in-process loop with the same reseeding and error
   isolation, so results never depend on the platform.
 
-``REPRO_NUM_WORKERS`` overrides the worker count everywhere the runner is
-wired in (``evaluate_attack``, the table drivers, the perf benchmark);
-unset, the runner defaults to ``os.cpu_count()``.  An unparseable or
-non-positive value raises :class:`WorkerCountError` naming the variable;
-a value beyond ``os.cpu_count()`` is clamped to it with a warning
-(explicit ``n_workers`` arguments are never clamped).
+The worker count is a plain resolved integer (default 1, serial);
+:class:`~repro.eval.run_config.RunConfig` is where ``REPRO_NUM_WORKERS``
+is read, validated and clamped to ``os.cpu_count()``.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 import traceback
-import warnings
 from collections import deque
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -77,16 +72,12 @@ __all__ = [
     "ParallelAttackRunner",
     "WorkerCountError",
     "WorkerCrashError",
-    "resolve_num_workers",
     "fork_available",
 ]
 
-#: env var overriding the worker count for every runner-wired entry point
-NUM_WORKERS_ENV = "REPRO_NUM_WORKERS"
-
 
 class WorkerCountError(ValueError):
-    """``REPRO_NUM_WORKERS`` or an explicit worker count is invalid."""
+    """A worker count (explicit or from ``REPRO_NUM_WORKERS``) is invalid."""
 
 
 class WorkerCrashError(RuntimeError):
@@ -101,49 +92,6 @@ class WorkerCrashError(RuntimeError):
 def fork_available() -> bool:
     """Whether the ``fork`` start method exists on this platform."""
     return "fork" in multiprocessing.get_all_start_methods()
-
-
-def resolve_num_workers(n_workers: int | None = None) -> int:
-    """Effective worker count: explicit arg > ``REPRO_NUM_WORKERS`` > CPUs.
-
-    Returns 1 (serial) whenever ``fork`` is unavailable, regardless of the
-    request — the runner never pickles models through ``spawn``.  Invalid
-    values — a non-integer env var, or any count below 1 — raise
-    :class:`WorkerCountError` with one consistent message.
-    """
-    if n_workers is None:
-        env = os.environ.get(NUM_WORKERS_ENV, "").strip()
-        if env:
-            try:
-                n_workers = int(env)
-            except ValueError:
-                raise WorkerCountError(
-                    f"{NUM_WORKERS_ENV} must be a positive integer, got {env!r}"
-                ) from None
-            if n_workers < 1:
-                raise WorkerCountError(
-                    f"{NUM_WORKERS_ENV} must be a positive integer, got {env!r}"
-                )
-            cpus = os.cpu_count() or 1
-            if n_workers > cpus:
-                # an env-derived count beyond the machine would silently
-                # oversubscribe every runner-wired entry point; explicit
-                # n_workers arguments stay untouched (tests and callers may
-                # deliberately oversubscribe)
-                warnings.warn(
-                    f"{NUM_WORKERS_ENV}={n_workers} exceeds os.cpu_count()="
-                    f"{cpus}; clamping to {cpus} workers",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                n_workers = cpus
-        else:
-            n_workers = os.cpu_count() or 1
-    elif n_workers < 1:
-        raise WorkerCountError(f"n_workers must be >= 1, got {n_workers}")
-    if not fork_available():
-        return 1
-    return n_workers
 
 
 def _document_seed(base_seed: int, doc_index: int) -> int:
@@ -252,8 +200,8 @@ class ParallelAttackRunner:
         The attack to run; forked into each worker (weights shared
         copy-on-write, per-worker mutable state independent).
     n_workers:
-        Worker count; ``None`` resolves via :func:`resolve_num_workers`
-        (``REPRO_NUM_WORKERS`` override, then ``os.cpu_count()``).
+        Worker count, at least 1; runs serially when ``fork`` is
+        unavailable (the runner never pickles models through ``spawn``).
     chunk_size:
         Documents per task.  ``None`` picks ``ceil(n_docs / (4 *
         n_workers))`` — small enough to balance uneven per-document attack
@@ -272,49 +220,22 @@ class ParallelAttackRunner:
     def __init__(
         self,
         attack: Attack,
-        n_workers: int | None = None,
+        n_workers: int = 1,
         chunk_size: int | None = None,
         base_seed: int = 0,
         fault_policy: RunnerFaultPolicy | None = None,
         on_result: Callable[[int, AttackResult | AttackFailure], None] | None = None,
     ) -> None:
+        if n_workers < 1:
+            raise WorkerCountError(f"n_workers must be >= 1, got {n_workers}")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.attack = attack
-        self.n_workers = resolve_num_workers(n_workers)
+        self.n_workers = n_workers if fork_available() else 1
         self.chunk_size = chunk_size
         self.base_seed = base_seed
         self.fault_policy = fault_policy or RunnerFaultPolicy()
         self.on_result = on_result
-    @classmethod
-    def from_registry(
-        cls,
-        name: str,
-        model,
-        *,
-        word_paraphraser=None,
-        sentence_paraphraser=None,
-        attack_kwargs: dict | None = None,
-        **runner_kwargs,
-    ) -> "ParallelAttackRunner":
-        """Build a runner for a registry attack resolved by name.
-
-        The registry specs and their builders are module-level objects, so
-        the resulting engine (and everything reachable from it) pickles —
-        workers inherit it through ``fork`` without any per-attack shims.
-        ``attack_kwargs`` goes to the attack constructor; everything else to
-        :class:`ParallelAttackRunner`.
-        """
-        from repro.attacks.registry import build_attack
-
-        attack = build_attack(
-            name,
-            model,
-            word_paraphraser=word_paraphraser,
-            sentence_paraphraser=sentence_paraphraser,
-            **(attack_kwargs or {}),
-        )
-        return cls(attack, **runner_kwargs)
 
     # -- execution ----------------------------------------------------------
     def run(

@@ -7,8 +7,9 @@ run's vital signs: documents done, structured failures so far, throughput
 and the ETA derived from it.
 
 Any callable accepting a :class:`Heartbeat` works; :class:`ProgressPrinter`
-is the batteries-included stderr reporter used by the experiment drivers
-(``ExperimentContext(progress=ProgressPrinter())``).
+is the batteries-included stderr reporter the experiment drivers attach
+to every cell when the run configuration's ``progress`` flag is on
+(``ExperimentContext(progress=True)`` or ``REPRO_PROGRESS=1``).
 """
 
 from __future__ import annotations

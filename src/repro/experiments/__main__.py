@@ -550,10 +550,10 @@ def main(argv: list[str] | None = None) -> int:
     if any(name.startswith("phase/") and name.endswith("_seconds") for name in counters):
         print("\n=== phase breakdown ===")
         print(render_phase_table(counters))
-    if context.trace_dir is not None:
+    if context.run.trace_dir is not None:
         print(
-            f"\n[traces in {context.trace_dir}; render with"
-            f" `python -m repro.experiments report {context.trace_dir}`]"
+            f"\n[traces in {context.run.trace_dir}; render with"
+            f" `python -m repro.experiments report {context.run.trace_dir}`]"
         )
     return 0
 

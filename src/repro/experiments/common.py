@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -46,13 +45,11 @@ from repro.data import (
     spam_lexicon,
 )
 from repro.data.lexicon import DomainLexicon
-from repro.eval.parallel import ParallelAttackRunner
-from repro.eval.progress import ProgressPrinter
+from repro.eval.run_config import RunConfig
 from repro.models import GRUClassifier, LSTMClassifier, TextClassifier, TrainConfig, WCNN, fit
 from repro.nn.serialization import load, save
-from repro.obs.exporter import TelemetryServer, resolve_telemetry_port
+from repro.obs.exporter import TelemetryServer
 from repro.obs.registry import MetricsRegistry
-from repro.obs.trace import TRACE_DIR_ENV
 from repro.text import (
     NGramLM,
     Vocabulary,
@@ -133,54 +130,20 @@ class ExperimentSettings:
 
 
 class ExperimentContext:
-    """Lazily builds and memoizes every experiment ingredient."""
+    """Lazily builds and memoizes every experiment ingredient.
 
-    def __init__(
-        self,
-        settings: ExperimentSettings | None = None,
-        cache_dir: str | os.PathLike | None = None,
-        n_workers: int | None = None,
-        progress=None,
-        journal_dir: str | os.PathLike | None = None,
-        trace_dir: str | os.PathLike | None = None,
-        telemetry_port: int | None = None,
-    ) -> None:
+    ``overrides`` are :class:`~repro.eval.run_config.RunConfig` field
+    names (``cache_dir=``, ``n_workers=``, ``trace_dir=``, ...); the
+    rest of :attr:`run` comes from the ``REPRO_*`` environment, resolved
+    once here.  The context owns one live
+    :class:`~repro.obs.exporter.TelemetryServer` (see :attr:`telemetry`)
+    for its whole lifetime, so the endpoints keep serving the last
+    cell's frozen final state between cells.
+    """
+
+    def __init__(self, settings: ExperimentSettings | None = None, **overrides) -> None:
         self.settings = settings or ExperimentSettings()
-        default_cache = Path(os.environ.get("REPRO_CACHE_DIR", Path.cwd() / ".cache"))
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else default_cache
-        #: worker count handed to evaluate_attack / ParallelAttackRunner by
-        #: the table drivers; None defers to REPRO_NUM_WORKERS (serial when
-        #: unset), so existing single-process workflows are unchanged
-        self.n_workers = n_workers
-        #: heartbeat callback (e.g. repro.eval.progress.ProgressPrinter)
-        #: handed to evaluate_attack by every table/figure driver; None
-        #: keeps runs silent.  REPRO_PROGRESS=1 turns on the default
-        #: stderr printer without code changes.
-        if progress is None and os.environ.get("REPRO_PROGRESS", "").strip():
-            progress = ProgressPrinter()
-        self.progress = progress
-        #: directory for per-cell JSONL run journals; None disables
-        #: checkpointing.  REPRO_JOURNAL_DIR provides an env default so a
-        #: long driver run can be made resumable without code changes.
-        env_journal = os.environ.get("REPRO_JOURNAL_DIR", "").strip()
-        if journal_dir is None and env_journal:
-            journal_dir = env_journal
-        self.journal_dir = Path(journal_dir) if journal_dir is not None else None
-        #: root directory for per-cell attack traces / metrics.json /
-        #: failures.jsonl; None disables tracing.  REPRO_TRACE_DIR provides
-        #: an env default, so any driver run can be traced without code
-        #: changes and rendered with `python -m repro.experiments report`.
-        env_trace = os.environ.get(TRACE_DIR_ENV, "").strip()
-        if trace_dir is None and env_trace:
-            trace_dir = env_trace
-        self.trace_dir = Path(trace_dir) if trace_dir is not None else None
-        #: live-telemetry HTTP exporter port (repro.obs.exporter); None
-        #: defers to REPRO_TELEMETRY_PORT (0 = ephemeral port).  The
-        #: context owns one TelemetryServer for its whole lifetime, so the
-        #: endpoints keep serving the last cell's frozen final state
-        #: between evaluate_attack calls — post-run scrapes match
-        #: metrics.json.
-        self.telemetry_port = resolve_telemetry_port(telemetry_port)
+        self.run = RunConfig.from_env(**overrides)
         self._telemetry: TelemetryServer | None = None
         self._datasets: dict[str, TextDataset] = {}
         self._lexicons: dict[str, DomainLexicon] = {}
@@ -287,7 +250,7 @@ class ExperimentContext:
             return self._models[key]
         model = self.build_model(dataset, arch)
         cache_file = (
-            self.cache_dir
+            self.run.cache_dir
             / "models"
             / f"{dataset}_{arch}_{self.settings.cache_key()}.npz"
         )
@@ -401,59 +364,28 @@ class ExperimentContext:
         The settings cache key is part of the name so a journal written
         under one configuration is never resumed under another.
         """
-        if self.journal_dir is None:
+        if self.run.journal_dir is None:
             return None
-        self.journal_dir.mkdir(parents=True, exist_ok=True)
-        return self.journal_dir / f"{tag}_{self.settings.cache_key()}.jsonl"
+        self.run.journal_dir.mkdir(parents=True, exist_ok=True)
+        return self.run.journal_dir / f"{tag}_{self.settings.cache_key()}.jsonl"
 
     def trace_path(self, tag: str) -> Path | None:
         """Per-cell trace directory, or ``None`` when tracing is off."""
-        if self.trace_dir is None:
+        if self.run.trace_dir is None:
             return None
-        return self.trace_dir / tag
+        return self.run.trace_dir / tag
 
     @property
     def telemetry(self) -> TelemetryServer | None:
         """The context-owned live HTTP exporter (started on first access).
 
-        ``None`` unless ``telemetry_port``/``REPRO_TELEMETRY_PORT`` is
-        set.  With an ephemeral port (0), read the bound one from
-        :attr:`TelemetryServer.port` / :attr:`TelemetryServer.url`.
+        ``None`` unless ``run.telemetry_port`` is set.  With an ephemeral
+        port (0), read the bound one from :attr:`TelemetryServer.port` /
+        :attr:`TelemetryServer.url`.
         """
-        if self.telemetry_port is None:
+        if self.run.telemetry_port is None:
             return None
         if self._telemetry is None:
-            self._telemetry = TelemetryServer(port=self.telemetry_port)
+            self._telemetry = TelemetryServer(port=self.run.telemetry_port)
             self._telemetry.start()
         return self._telemetry
-
-    def eval_kwargs(self, tag: str) -> dict:
-        """Observability/fault-tolerance keywords every driver passes to
-        evaluate_attack: worker count, heartbeat callback, the ``tag``'s
-        journal file, its trace directory, and the live telemetry
-        exporter."""
-        return {
-            "n_workers": self.n_workers,
-            "progress": self.progress,
-            "journal_path": self.journal_path(tag),
-            "trace_dir": self.trace_path(tag),
-            "telemetry": self.telemetry,
-        }
-
-    def attack_runner(
-        self,
-        attack: Attack,
-        n_workers: int | None = None,
-        chunk_size: int | None = None,
-    ) -> ParallelAttackRunner:
-        """A corpus runner for ``attack`` with this context's seed.
-
-        Worker precedence: explicit arg, then the context's ``n_workers``,
-        then ``REPRO_NUM_WORKERS``/CPU count inside the runner.
-        """
-        return ParallelAttackRunner(
-            attack,
-            n_workers=n_workers if n_workers is not None else self.n_workers,
-            chunk_size=chunk_size,
-            base_seed=self.settings.seed,
-        )

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.defense.registry import Defense, DefenseResources, build_defense
 from repro.eval.metrics import AttackEvaluation, evaluate_attack
+from repro.eval.progress import ProgressPrinter
 from repro.models.base import TextClassifier
 from repro.nn.serialization import load, save
 
@@ -370,7 +371,7 @@ class GridRunner:
             key = (dataset, arch, defense.cache_key())
             if key not in self._retrained:
                 cache_file = (
-                    context.cache_dir
+                    context.run.cache_dir
                     / "models"
                     / f"{dataset}_{arch}_{defense.cache_key()}_{context.settings.cache_key()}.npz"
                 )
@@ -404,7 +405,11 @@ class GridRunner:
             context.dataset(cell.dataset).test,
             max_examples=cell.max_examples,
             seed=seed,
-            **context.eval_kwargs(cell.tag),
+            run=context.run,
+            journal_path=context.journal_path(cell.tag),
+            progress=ProgressPrinter() if context.run.progress else None,
+            trace_dir=context.trace_path(cell.tag),
+            telemetry=context.telemetry,
         )
         return CellResult(cell=cell, tag=cell.tag, evaluation=evaluation, victim=victim)
 

@@ -123,16 +123,13 @@ class TestSpecPickling:
 
 
 class TestRunnerFromRegistry:
+    """A runner over a ``build_attack`` engine: it forks into workers as is."""
+
     def test_serial(self, victim, word_paraphraser, attackable_docs):
         docs = [doc for doc, _ in attackable_docs[:3]]
         targets = [t for _, t in attackable_docs[:3]]
-        runner = ParallelAttackRunner.from_registry(
-            "greedy_word",
-            victim,
-            word_paraphraser=word_paraphraser,
-            n_workers=1,
-            base_seed=5,
-        )
+        attack = build_attack("greedy_word", victim, word_paraphraser=word_paraphraser)
+        runner = ParallelAttackRunner(attack, n_workers=1, base_seed=5)
         outcomes = runner.run(docs, targets)
         assert len(outcomes) == 3
         assert all(isinstance(o, AttackResult) for o in outcomes)
@@ -143,17 +140,12 @@ class TestRunnerFromRegistry:
         targets = [t for _, t in attackable_docs[:4]]
 
         def run(n_workers):
-            runner = ParallelAttackRunner.from_registry(
-                "charflip_greedy",
-                victim,
-                attack_kwargs={"word_budget_ratio": 0.3},
-                n_workers=n_workers,
-                base_seed=5,
-            )
+            attack = build_attack("charflip_greedy", victim, word_budget_ratio=0.3)
+            runner = ParallelAttackRunner(attack, n_workers=n_workers, base_seed=5)
             return [_comparable(o) for o in runner.run(docs, targets)]
 
         assert run(1) == run(2)
 
     def test_unknown_name_raises(self, victim):
-        with pytest.raises(KeyError):
-            ParallelAttackRunner.from_registry("hypnosis", victim)
+        with pytest.raises(KeyError, match="unknown attack 'hypnosis'"):
+            build_attack("hypnosis", victim)

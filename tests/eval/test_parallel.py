@@ -13,7 +13,6 @@ import pytest
 from repro.attacks import ObjectiveGreedyWordAttack, RandomWordAttack
 from repro.eval.metrics import evaluate_attack
 from repro.eval.parallel import (
-    NUM_WORKERS_ENV,
     ParallelAttackRunner,
     WorkerCountError,
     _WORKER,
@@ -21,9 +20,11 @@ from repro.eval.parallel import (
     _document_seed,
     _init_worker,
     fork_available,
-    resolve_num_workers,
 )
+from repro.eval.run_config import RunConfig
 from repro.obs.registry import MetricsRegistry, forward_buckets
+
+NUM_WORKERS_ENV = "REPRO_NUM_WORKERS"
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable on this platform"
@@ -47,57 +48,55 @@ def result_fingerprint(results):
 
 
 class TestResolveNumWorkers:
+    """The worker count is resolved once, by :meth:`RunConfig.from_env`."""
+
     def test_explicit_arg_wins_over_env(self, monkeypatch):
         monkeypatch.setenv(NUM_WORKERS_ENV, "5")
-        assert resolve_num_workers(2) == (2 if fork_available() else 1)
+        assert RunConfig.from_env(n_workers=2).n_workers == 2
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(NUM_WORKERS_ENV, "3")
-        if not fork_available():
-            assert resolve_num_workers(None) == 1
-            return
         cpus = os.cpu_count() or 1
         if cpus >= 3:
-            assert resolve_num_workers(None) == 3
+            assert RunConfig.from_env().n_workers == 3
         else:
             with pytest.warns(RuntimeWarning, match="exceeds os.cpu_count"):
-                assert resolve_num_workers(None) == cpus
+                assert RunConfig.from_env().n_workers == cpus
 
     def test_env_clamped_to_cpu_count_with_warning(self, monkeypatch):
-        if not fork_available():
-            pytest.skip("fork unavailable; env resolves to 1 regardless")
         cpus = os.cpu_count() or 1
         monkeypatch.setenv(NUM_WORKERS_ENV, str(cpus + 7))
         with pytest.warns(RuntimeWarning, match="exceeds os.cpu_count"):
-            assert resolve_num_workers(None) == cpus
+            assert RunConfig.from_env().n_workers == cpus
 
     def test_explicit_arg_is_never_clamped(self, monkeypatch):
         # oversubscription on purpose stays allowed — only the env path,
         # which silently applies to every run, is clamped
         monkeypatch.delenv(NUM_WORKERS_ENV, raising=False)
         cpus = os.cpu_count() or 1
-        expected = cpus + 3 if fork_available() else 1
-        assert resolve_num_workers(cpus + 3) == expected
+        assert RunConfig.from_env(n_workers=cpus + 3).n_workers == cpus + 3
 
     def test_default_is_at_least_one(self, monkeypatch):
+        # one meaning everywhere: unset is serial
         monkeypatch.delenv(NUM_WORKERS_ENV, raising=False)
-        assert resolve_num_workers(None) >= 1
+        assert RunConfig.from_env().n_workers == 1
 
-    def test_invalid_count_raises(self):
-        with pytest.raises(ValueError):
-            resolve_num_workers(0)
+    def test_invalid_count_raises(self, victim, word_paraphraser):
+        attack = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2)
+        with pytest.raises(WorkerCountError, match="n_workers must be >= 1"):
+            ParallelAttackRunner(attack, n_workers=0)
 
     def test_explicit_count_error_is_named(self):
-        with pytest.raises(WorkerCountError, match="n_workers must be >= 1"):
-            resolve_num_workers(-3)
+        with pytest.raises(WorkerCountError, match="n_workers must be a positive integer"):
+            RunConfig(n_workers=-3)
 
     @pytest.mark.parametrize("value", ["four", "2.5", "", " x "])
     def test_non_integer_env_rejected_with_clear_message(self, monkeypatch, value):
         if not value.strip():
-            pytest.skip("blank env falls back to cpu count")
+            pytest.skip("blank env counts as unset")
         monkeypatch.setenv(NUM_WORKERS_ENV, value)
         with pytest.raises(WorkerCountError) as excinfo:
-            resolve_num_workers(None)
+            RunConfig.from_env()
         message = str(excinfo.value)
         assert NUM_WORKERS_ENV in message
         assert "positive integer" in message
@@ -108,7 +107,7 @@ class TestResolveNumWorkers:
         # name the variable and the constraint consistently
         monkeypatch.setenv(NUM_WORKERS_ENV, value)
         with pytest.raises(WorkerCountError) as excinfo:
-            resolve_num_workers(None)
+            RunConfig.from_env()
         message = str(excinfo.value)
         assert NUM_WORKERS_ENV in message
         assert "positive integer" in message
@@ -277,7 +276,7 @@ def test_evaluate_attack_worker_count_invariant(victim, word_paraphraser, atk_co
     attack = ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2)
     serial = evaluate_attack(victim, attack, atk_corpus.test, max_examples=N_DOCS)
     pooled = evaluate_attack(
-        victim, attack, atk_corpus.test, max_examples=N_DOCS, n_workers=2
+        victim, attack, atk_corpus.test, max_examples=N_DOCS, run=RunConfig(n_workers=2)
     )
     assert serial.success_rate == pooled.success_rate
     assert serial.clean_accuracy == pooled.clean_accuracy
@@ -304,7 +303,7 @@ def test_evaluate_attack_serial_branch_reseeds_like_the_pool(
         RandomWordAttack(victim, word_paraphraser, 0.3, seed=99),
         atk_corpus.test,
         max_examples=N_DOCS,
-        n_workers=1,
+        run=RunConfig(n_workers=1),
     )
     assert result_fingerprint(serial.results) == result_fingerprint(
         explicit_one.results
@@ -316,7 +315,7 @@ def test_evaluate_attack_serial_branch_reseeds_like_the_pool(
                 RandomWordAttack(victim, word_paraphraser, 0.3, seed=99),
                 atk_corpus.test,
                 max_examples=N_DOCS,
-                n_workers=workers,
+                run=RunConfig(n_workers=workers),
             )
             assert result_fingerprint(serial.results) == result_fingerprint(
                 pooled.results

@@ -45,12 +45,12 @@ class TestContext:
 
     def test_model_cached_on_disk(self, ctx):
         ctx.model("yelp", "wcnn")
-        files = list((ctx.cache_dir / "models").glob("yelp_wcnn_*.npz"))
+        files = list((ctx.run.cache_dir / "models").glob("yelp_wcnn_*.npz"))
         assert files
 
     def test_model_cache_roundtrip(self, ctx):
         a = ctx.model("yelp", "wcnn")
-        fresh = ExperimentContext(ctx.settings, cache_dir=ctx.cache_dir)
+        fresh = ExperimentContext(ctx.settings, cache_dir=ctx.run.cache_dir)
         b = fresh.model("yelp", "wcnn")
         docs = ctx.dataset("yelp").documents("test")[:5]
         np.testing.assert_allclose(a.predict_proba(docs), b.predict_proba(docs))

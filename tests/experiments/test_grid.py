@@ -10,7 +10,6 @@ import pytest
 from repro.eval.parallel import fork_available
 from repro.experiments import ExperimentContext, ExperimentSettings
 from repro.experiments.grid import (
-    Cell,
     CellOverride,
     GridRunner,
     MatrixAttack,
@@ -168,7 +167,7 @@ class TestGridRunner:
         victims = [r.victim for r in frame.results]
         assert victims[0] is victims[1]
         cache_files = list(
-            (ctx.cache_dir / "models").glob("yelp_wcnn_adv_training*npz")
+            (ctx.run.cache_dir / "models").glob("yelp_wcnn_adv_training*npz")
         )
         assert len(cache_files) == 1
         # a fresh runner loads the hardened weights from disk, bitwise

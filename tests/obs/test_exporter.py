@@ -6,13 +6,11 @@ import urllib.request
 
 import pytest
 
-from repro.obs.exporter import (
-    TELEMETRY_PORT_ENV,
-    TelemetryServer,
-    render_prometheus,
-    resolve_telemetry_port,
-)
+from repro.eval.run_config import RunConfig
+from repro.obs.exporter import TelemetryServer, render_prometheus
 from repro.obs.registry import MetricsRegistry
+
+TELEMETRY_PORT_ENV = "REPRO_TELEMETRY_PORT"
 
 
 def _get(url, timeout=5):
@@ -29,25 +27,25 @@ def server():
 
 
 class TestResolvePort:
+    """The exporter port is resolved once, by :meth:`RunConfig.from_env`."""
+
     def test_off_by_default(self, monkeypatch):
         monkeypatch.delenv(TELEMETRY_PORT_ENV, raising=False)
-        assert resolve_telemetry_port() is None
+        assert RunConfig.from_env().telemetry_port is None
 
     def test_explicit_wins_over_env(self, monkeypatch):
         monkeypatch.setenv(TELEMETRY_PORT_ENV, "9999")
-        assert resolve_telemetry_port(8123) == 8123
+        assert RunConfig.from_env(telemetry_port=8123).telemetry_port == 8123
 
     def test_env_value(self, monkeypatch):
         monkeypatch.setenv(TELEMETRY_PORT_ENV, "0")
-        assert resolve_telemetry_port() == 0
+        assert RunConfig.from_env().telemetry_port == 0
 
     def test_bad_env_raises(self, monkeypatch):
-        monkeypatch.setenv(TELEMETRY_PORT_ENV, "not-a-port")
-        with pytest.raises(ValueError, match=TELEMETRY_PORT_ENV):
-            resolve_telemetry_port()
-        monkeypatch.setenv(TELEMETRY_PORT_ENV, "-1")
-        with pytest.raises(ValueError, match=">= 0"):
-            resolve_telemetry_port()
+        for bad in ("not-a-port", "-1"):
+            monkeypatch.setenv(TELEMETRY_PORT_ENV, bad)
+            with pytest.raises(ValueError, match=f"{TELEMETRY_PORT_ENV} must be an integer port"):
+                RunConfig.from_env()
 
 
 class TestRenderPrometheus:

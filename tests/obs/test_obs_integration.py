@@ -12,6 +12,7 @@ import pytest
 
 from repro.attacks import ObjectiveGreedyWordAttack
 from repro.eval.metrics import evaluate_attack
+from repro.eval.run_config import RunConfig
 from repro.obs.report import METRICS_FILENAME, load_run_metrics, render_report
 from repro.obs.trace import iter_trace_files, read_trace, validate_run_dir
 
@@ -22,16 +23,15 @@ def _attack(victim, word_paraphraser):
     return ObjectiveGreedyWordAttack(victim, word_paraphraser, 0.2, use_cache=True)
 
 
-def _traced_run(victim, word_paraphraser, atk_corpus, trace_dir, n_workers, **kwargs):
+def _traced_run(victim, word_paraphraser, atk_corpus, trace_dir, n_workers, **run_fields):
     attack = _attack(victim, word_paraphraser)
     evaluation = evaluate_attack(
         victim,
         attack,
         atk_corpus.test[:N_EXAMPLES],
         seed=0,
-        n_workers=n_workers,
+        run=RunConfig(n_workers=n_workers, **run_fields),
         trace_dir=trace_dir,
-        **kwargs,
     )
     return attack, evaluation
 
@@ -129,7 +129,7 @@ class TestTraceLifecycle:
         self, victim, word_paraphraser, atk_corpus, tmp_path
     ):
         attack = _attack(victim, word_paraphraser)
-        evaluate_attack(victim, attack, atk_corpus.test[:2], seed=0, n_workers=1)
+        evaluate_attack(victim, attack, atk_corpus.test[:2], seed=0, run=RunConfig())
         assert list(tmp_path.iterdir()) == []
 
     def test_direct_attack_call_self_opens_trace(

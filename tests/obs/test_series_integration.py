@@ -14,6 +14,7 @@ import pytest
 
 from repro.attacks import ObjectiveGreedyWordAttack
 from repro.eval.metrics import evaluate_attack
+from repro.eval.run_config import RunConfig
 from repro.obs.exporter import TelemetryServer
 from repro.obs.report import METRICS_FILENAME
 from repro.obs.timeseries import SERIES_FILENAME, load_run_series, read_series
@@ -29,7 +30,7 @@ def _run(victim, word_paraphraser, atk_corpus, trace_dir, n_workers, **kwargs):
         attack,
         atk_corpus.test[:N_EXAMPLES],
         seed=0,
-        n_workers=n_workers,
+        run=RunConfig(n_workers=n_workers),
         trace_dir=trace_dir,
         **kwargs,
     )

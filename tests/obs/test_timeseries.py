@@ -5,21 +5,22 @@ import threading
 
 import pytest
 
+from repro.eval.run_config import RunConfig
 from repro.obs.registry import MetricsRegistry
 from repro.obs.timeseries import (
     SERIES_FILENAME,
-    SERIES_INTERVAL_ENV,
     SERIES_SCHEMA_VERSION,
     TimeSeriesSampler,
     iter_series_files,
     load_run_series,
     read_series,
     render_dashboard,
-    resolve_series_interval,
     sparkline,
     validate_series_line,
 )
 from repro.obs.trace import TraceSchemaError, validate_run_dir
+
+SERIES_INTERVAL_ENV = "REPRO_SERIES_INTERVAL"
 
 
 def _sampler(reg, tmp_path=None, **kwargs):
@@ -29,21 +30,24 @@ def _sampler(reg, tmp_path=None, **kwargs):
 
 
 class TestResolveInterval:
+    """The sampling interval is resolved once, by :meth:`RunConfig.from_env`."""
+
     def test_explicit_wins(self, monkeypatch):
         monkeypatch.setenv(SERIES_INTERVAL_ENV, "9")
-        assert resolve_series_interval(0.25) == 0.25
+        assert RunConfig.from_env(series_interval=0.25).series_interval == 0.25
 
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv(SERIES_INTERVAL_ENV, "2.5")
-        assert resolve_series_interval() == 2.5
+        assert RunConfig.from_env().series_interval == 2.5
 
     def test_default_is_one_second(self, monkeypatch):
         monkeypatch.delenv(SERIES_INTERVAL_ENV, raising=False)
-        assert resolve_series_interval() == 1.0
+        assert RunConfig.from_env().series_interval == 1.0
+        assert TimeSeriesSampler(MetricsRegistry().snapshot).interval_seconds == 1.0
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_series_interval(0.0)
+        with pytest.raises(ValueError, match="interval_seconds must be > 0"):
+            TimeSeriesSampler(MetricsRegistry().snapshot, interval_seconds=0.0)
 
 
 class TestSampler:

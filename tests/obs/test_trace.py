@@ -4,8 +4,8 @@ import json
 
 import pytest
 
+from repro.eval.run_config import RunConfig
 from repro.obs.trace import (
-    TRACE_EVERY_N_ENV,
     TRACE_SCHEMA_VERSION,
     DocumentTrace,
     TraceRecorder,
@@ -156,7 +156,7 @@ class TestValidation:
 
 class TestTraceRecorder:
     def test_every_document_traced_by_default(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(TRACE_EVERY_N_ENV, raising=False)
+        monkeypatch.setenv("REPRO_TRACE_EVERY_N", "4")  # read only by RunConfig
         recorder = TraceRecorder(tmp_path)
         assert recorder.trace_every_n == 1
         trace = recorder.document(7, seed=7)
@@ -171,8 +171,9 @@ class TestTraceRecorder:
         assert traced == [0, 3, 6, 9]
 
     def test_sampling_reads_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(TRACE_EVERY_N_ENV, "4")
-        assert TraceRecorder(tmp_path).trace_every_n == 4
+        monkeypatch.setenv("REPRO_TRACE_EVERY_N", "4")
+        run = RunConfig.from_env()
+        assert TraceRecorder(tmp_path, trace_every_n=run.trace_every_n).trace_every_n == 4
 
     def test_invalid_stride_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from repro.attacks import JointParaphraseAttack
 from repro.attacks.transformations import apply_word_substitutions
 from repro.eval.metrics import evaluate_attack
 from repro.models.bow import BowClassifier
-from repro.models.train import fit
 from repro.submodular.modular import modular_relaxation_bow
 from repro.text import Vocabulary
 
