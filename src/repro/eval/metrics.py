@@ -36,9 +36,7 @@ and a ``metrics.json`` consumed by ``python -m repro.experiments report``.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -49,35 +47,14 @@ from repro.eval.parallel import ParallelAttackRunner
 from repro.eval.progress import HeartbeatMonitor
 from repro.eval.run_config import RunConfig
 from repro.models.base import TextClassifier
-from repro.obs.exporter import TelemetryServer
 from repro.obs.registry import MetricsRegistry
 from repro.obs.report import append_failure, write_run_metrics
-from repro.obs.timeseries import SERIES_FILENAME, TimeSeriesSampler
 from repro.obs.trace import TraceRecorder
 
 #: power-of-two bounds for query-count histograms (1 .. 65536 forwards/doc)
 _QUERY_BOUNDS = [float(2**e) for e in range(17)]
 
-#: /healthz reports ``status: stale`` when no document completed for this
-#: long — generous because a single hard document legitimately takes a while
-_HEARTBEAT_STALE_SECONDS = 300.0
-
 __all__ = ["AttackEvaluation", "evaluate_attack"]
-
-
-def _telemetry_health(monitor: HeartbeatMonitor) -> dict:
-    """The ``/healthz`` payload: heartbeat age plus the run's vital signs."""
-    beat = monitor.snapshot()
-    age = time.time() - monitor.last_update_time
-    return {
-        "status": "stale" if age > _HEARTBEAT_STALE_SECONDS else "running",
-        "heartbeat_age_seconds": round(age, 3),
-        "done": beat.done,
-        "total": beat.total,
-        "failures": beat.n_failures,
-        "elapsed_seconds": round(beat.elapsed_seconds, 3),
-        "docs_per_second": round(beat.docs_per_second, 6),
-    }
 
 
 @dataclass
@@ -123,7 +100,6 @@ def evaluate_attack(
     journal_path: str | os.PathLike | None = None,
     progress=None,
     trace_dir: str | os.PathLike | None = None,
-    telemetry: TelemetryServer | None = None,
 ) -> AttackEvaluation:
     """Attack every correctly-classified example and aggregate the outcome.
 
@@ -145,20 +121,6 @@ def evaluate_attack(
     ``trace_dir`` writes per-document attack traces, ``failures.jsonl``
     and ``metrics.json`` into that directory; ``run.trace_every_n``
     samples the traces (every n-th document).
-
-    ``telemetry`` attaches a caller-owned (typically
-    :class:`~repro.experiments.common.ExperimentContext`-owned)
-    :class:`~repro.obs.exporter.TelemetryServer`: this run's live
-    registry, health and series are published to it while the run is
-    alive and frozen into it at the end, so post-run scrapes match
-    ``metrics.json``.  Without one, ``run.telemetry_port`` makes this
-    call start and stop its own exporter.  Either way a
-    :class:`~repro.obs.timeseries.TimeSeriesSampler` records the run's
-    trajectory every ``run.series_interval`` seconds — riding the
-    heartbeat in serial runs, on a background thread under the pool —
-    into ``series.jsonl`` next to ``metrics.json`` when ``trace_dir`` is
-    set.  Telemetry is read-only: attack results are bitwise identical
-    with it on or off.
     """
     if not examples:
         raise ValueError("cannot evaluate an attack on zero examples")
@@ -209,48 +171,13 @@ def evaluate_attack(
     ]
     run_registry = MetricsRegistry()
     context_registry: MetricsRegistry | None = attack.metrics
-
-    def _live_snapshot() -> dict:
-        # the run's own counters plus the attack's (typically the shared
-        # context's) registry of phase spans and forward batches, merged
-        # flat — the view the series and every exporter endpoint serve.
-        # Called from sampler / HTTP threads while the run mutates both
-        # registries; the sampler and the exporter tolerate a raced
-        # snapshot (skip / 500), so no locking is imposed on the hot path.
-        merged = MetricsRegistry()
-        merged.merge(run_registry.snapshot())
-        if context_registry is not None:
-            merged.merge(context_registry.snapshot())
-        return merged.snapshot()
-
-    server = telemetry
-    own_server = False
-    if server is None and run.telemetry_port is not None:
-        server = TelemetryServer(port=run.telemetry_port)
-        own_server = True
-    sampler: TimeSeriesSampler | None = None
-    if trace_dir is not None or server is not None:
-        sampler = TimeSeriesSampler(
-            _live_snapshot,
-            path=Path(trace_dir) / SERIES_FILENAME if trace_dir is not None else None,
-            interval_seconds=run.series_interval,
-        )
     monitor = HeartbeatMonitor(
         total=len(attacked),
         callback=progress,
         done=len(done),
         n_failures=sum(1 for o in done.values() if isinstance(o, AttackFailure)),
         registry=run_registry,
-        sampler=sampler,
     )
-    if server is not None:
-        if own_server:
-            server.start()
-        server.publish(
-            _live_snapshot,
-            health_fn=lambda: _telemetry_health(monitor),
-            series_fn=(lambda: sampler.points) if sampler is not None else None,
-        )
     seed_to_corpus = {j: i for j, i, _, _ in todo}
 
     def on_result(j: int, outcome: AttackResult | AttackFailure) -> None:
@@ -284,10 +211,6 @@ def evaluate_attack(
                 base_seed=seed,
                 on_result=on_result,
             )
-            if sampler is not None and runner.n_workers > 1:
-                # pooled chunk results land bursty; a parent-side thread
-                # keeps the cadence steady between heartbeats
-                sampler.start()
             outcomes = runner.run(
                 [doc for _, _, doc, _ in todo],
                 [target for _, _, _, target in todo],
@@ -296,17 +219,7 @@ def evaluate_attack(
             fresh = {i: outcome for (_, i, _, _), outcome in zip(todo, outcomes)}
     finally:
         attack.tracer = prior_tracer
-        if sampler is not None:
-            sampler.stop()
     monitor.finish()
-    if sampler is not None:
-        # after the last worker snapshot merge, so the series'
-        # final point reconciles exactly with metrics.json
-        sampler.close()
-    if server is not None:
-        server.freeze()
-        if own_server:
-            server.stop()
     if trace_dir is not None:
         write_run_metrics(
             trace_dir,

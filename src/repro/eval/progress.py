@@ -56,7 +56,6 @@ class HeartbeatMonitor:
         done: int = 0,
         n_failures: int = 0,
         registry=None,
-        sampler=None,
     ) -> None:
         self.total = total
         self.callback = callback
@@ -64,21 +63,13 @@ class HeartbeatMonitor:
         self.n_failures = n_failures
         #: optional MetricsRegistry mirror: vitals become ``run/*`` gauges
         self.registry = registry
-        #: optional TimeSeriesSampler riding the heartbeat cadence: serial
-        #: runs get one throttled series point per completed document
-        #: without any extra thread
-        self.sampler = sampler
         self._fresh = 0
         self._start = time.perf_counter()
-        #: wall-clock time of the last completed document (/healthz
-        #: staleness is measured against this)
-        self.last_update_time = time.time()
 
     def update(self, outcome: AttackResult | AttackFailure) -> Heartbeat:
         """Record one freshly completed document and fire the callback."""
         self.done += 1
         self._fresh += 1
-        self.last_update_time = time.time()
         if isinstance(outcome, AttackFailure):
             self.n_failures += 1
         beat = self.snapshot()
@@ -87,8 +78,6 @@ class HeartbeatMonitor:
             self.registry.set_gauge("run/total", beat.total)
             self.registry.set_gauge("run/failures", beat.n_failures)
             self.registry.set_gauge("run/docs_per_second", beat.docs_per_second)
-        if self.sampler is not None:
-            self.sampler.maybe_sample()
         if self.callback is not None:
             self.callback(beat)
         return beat

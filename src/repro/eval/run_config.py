@@ -1,11 +1,11 @@
 """One frozen run configuration, resolved once from the environment.
 
 The paper's evaluation (Sec. 6) is a grid of attack × victim × dataset
-runs.  Eight ``REPRO_*`` variables configure how such a run executes —
+runs.  Six ``REPRO_*`` variables configure how such a run executes —
 where victims are cached, how many worker processes attack, whether
-progress, journals, traces, the time series and the HTTP exporter are
-on.  :meth:`RunConfig.from_env` is the only code in :mod:`repro` that
-reads the environment; every layer below it takes plain resolved values.
+progress, journals and traces are on, and how densely traces sample.
+:meth:`RunConfig.from_env` is the only code in :mod:`repro` that reads
+the environment; every layer below it takes plain resolved values.
 Each field declares its variable below; the README's "Run configuration"
 table lists the defaults and valid values.
 
@@ -20,7 +20,6 @@ silently applies to every run; an explicit count is never clamped.
 
 from __future__ import annotations
 
-import math
 import operator
 import os
 import warnings
@@ -47,29 +46,11 @@ def _flag(value) -> bool:
     raise ValueError(value)
 
 
-def _integer(value) -> int:
-    return int(value) if isinstance(value, str) else operator.index(value)
-
-
 def _positive_int(value) -> int:
-    n = _integer(value)
+    n = int(value) if isinstance(value, str) else operator.index(value)
     if n < 1:
         raise ValueError(value)
     return n
-
-
-def _port(value) -> int:
-    n = _integer(value)
-    if not 0 <= n <= 65535:
-        raise ValueError(value)
-    return n
-
-
-def _positive_seconds(value) -> float:
-    x = float(value)
-    if not (math.isfinite(x) and x > 0):
-        raise ValueError(value)
-    return x
 
 
 @dataclass(frozen=True)
@@ -113,13 +94,6 @@ class RunConfig:
     trace_dir: Path | None = _setting(_Variable("REPRO_TRACE_DIR", Path, _PATH), default=None)
     trace_every_n: int = _setting(
         _Variable("REPRO_TRACE_EVERY_N", _positive_int, "a positive integer"), default=1
-    )
-    series_interval: float = _setting(
-        _Variable("REPRO_SERIES_INTERVAL", _positive_seconds, "a positive finite number"),
-        default=1.0,
-    )
-    telemetry_port: int | None = _setting(
-        _Variable("REPRO_TELEMETRY_PORT", _port, "an integer port in 0..65535"), default=None
     )
 
     def __post_init__(self) -> None:

@@ -11,15 +11,13 @@ Usage::
     python -m repro.experiments list-defenses     # defense registry
     python -m repro.experiments frontier          # success vs query-budget leaderboard
     python -m repro.experiments tournament        # attacks x defenses x models
-    python -m repro.experiments watch runs/       # live sparkline dashboard
     python -m repro.experiments compare a/ b/     # regression gates, nonzero on fail
 
 Results print as aligned text tables; trained victims are cached under
 ``.cache/`` so repeated runs are fast.  Setting ``REPRO_TRACE_DIR`` (or
 ``ExperimentContext(trace_dir=...)``) records per-document attack traces
-and run metrics, which ``report`` renders as markdown; adding
-``REPRO_TELEMETRY_PORT`` serves the run's live metrics over HTTP
-(``watch`` can point at the URL instead of a directory).
+and run metrics, which ``report`` renders as markdown and ``compare``
+diffs against another run.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ from repro.experiments import (
 from repro.experiments.common import ExperimentContext
 from repro.obs.compare import DEFAULT_REL_TOL, compare_runs, render_compare_report
 from repro.obs.report import render_phase_table, render_report
-from repro.obs.timeseries import load_run_series, render_dashboard
 from repro.obs.trace import validate_run_dir
 
 _ARTIFACTS = {
@@ -81,12 +78,11 @@ def _run_dir_error(run_dir: str) -> str | None:
     has_artifacts = (
         next(path.rglob("metrics.json"), None) is not None
         or next(path.rglob("trace-*.jsonl"), None) is not None
-        or next(path.rglob("series.jsonl"), None) is not None
     )
     if not has_artifacts:
         return (
             f"run directory {run_dir!r} holds no run artifacts "
-            f"(metrics.json, trace-*.jsonl or series.jsonl) — was the run "
+            f"(metrics.json or trace-*.jsonl) — was the run "
             f"traced via REPRO_TRACE_DIR / trace_dir?"
         )
     return None
@@ -117,7 +113,7 @@ def _report_main(argv: list[str]) -> int:
         return 2
     if args.validate:
         checked = validate_run_dir(args.run_dir)
-        print(f"[validated {checked} trace/series lines]", file=sys.stderr)
+        print(f"[validated {checked} trace lines]", file=sys.stderr)
     markdown = render_report(args.run_dir)
     if args.out:
         with open(args.out, "w") as fh:
@@ -133,8 +129,8 @@ def _compare_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments compare",
         description="Diff two traced run directories (metrics.json, "
-        "series.jsonl, BENCH_*.json) under relative-tolerance regression "
-        "gates; exits 1 when the candidate run regressed.",
+        "BENCH_*.json) under relative-tolerance regression gates; exits 1 "
+        "when the candidate run regressed.",
     )
     parser.add_argument("run_a", help="baseline run directory")
     parser.add_argument("run_b", help="candidate run directory")
@@ -188,75 +184,6 @@ def _compare_main(argv: list[str]) -> int:
         print(f"[{len(comparison.regressions)} regression(s): {names}]", file=sys.stderr)
         return 1
     return 0
-
-
-def _fetch_url_json(url: str):
-    """GET a JSON endpoint; an HTTP error status still yields its body
-    (``/healthz`` answers 503 with the health payload when stale)."""
-    import urllib.error
-    import urllib.request
-
-    try:
-        with urllib.request.urlopen(url, timeout=5) as resp:
-            return json.loads(resp.read())
-    except urllib.error.HTTPError as exc:
-        return json.loads(exc.read())
-
-
-def _watch_frame(target: str, width: int) -> str:
-    if target.startswith(("http://", "https://")):
-        base = target.rstrip("/")
-        points = _fetch_url_json(base + "/series.json")
-        health = _fetch_url_json(base + "/healthz")
-        return render_dashboard(points, width=width, health=health)
-    return render_dashboard(load_run_series(target), width=width)
-
-
-def _watch_main(argv: list[str]) -> int:
-    """``watch <run_dir|url>``: live sparkline dashboard of a run."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments watch",
-        description="Live terminal dashboard for a running (or finished) "
-        "attack run: sparklines of docs/s, success rate, cache hits and "
-        "forward batches, from a run directory's series.jsonl or a "
-        "telemetry exporter URL.",
-    )
-    parser.add_argument(
-        "target",
-        help="run directory (trace_dir / REPRO_TRACE_DIR) or exporter URL "
-        "(http://host:port from REPRO_TELEMETRY_PORT)",
-    )
-    parser.add_argument(
-        "--once", action="store_true", help="render one frame and exit"
-    )
-    parser.add_argument(
-        "--interval", type=float, default=2.0, help="seconds between refreshes"
-    )
-    parser.add_argument(
-        "--width", type=int, default=48, help="sparkline width in characters"
-    )
-    args = parser.parse_args(argv)
-    is_url = args.target.startswith(("http://", "https://"))
-    if not is_url:
-        error = _run_dir_error(args.target)
-        if error is not None:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    try:
-        while True:
-            try:
-                frame = _watch_frame(args.target, args.width)
-            except OSError as exc:
-                frame = f"[exporter unreachable: {exc}]\n"
-            if args.once:
-                print(frame, end="")
-                return 0
-            # clear screen + home, then the frame — a poor man's curses
-            print("\x1b[2J\x1b[H" + f"[watch {args.target}]\n\n" + frame, end="", flush=True)
-            time.sleep(args.interval)
-    except KeyboardInterrupt:
-        print()
-        return 0
 
 
 def _frontier_main(argv: list[str]) -> int:
@@ -499,15 +426,13 @@ def _list_attacks_main(argv: list[str]) -> int:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # `report`, `compare`, `watch`, `list-attacks`, `list-defenses`,
-    # `frontier` and `tournament` are verbs, not artifacts: dispatch
+    # `report`, `compare`, `list-attacks`, `list-defenses`, `frontier`
+    # and `tournament` are verbs, not artifacts: dispatch
     # before the artifact parser
     if argv and argv[0] == "report":
         return _report_main(argv[1:])
     if argv and argv[0] == "compare":
         return _compare_main(argv[1:])
-    if argv and argv[0] == "watch":
-        return _watch_main(argv[1:])
     if argv and argv[0] == "list-attacks":
         return _list_attacks_main(argv[1:])
     if argv and argv[0] == "list-defenses":

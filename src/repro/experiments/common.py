@@ -48,7 +48,6 @@ from repro.data.lexicon import DomainLexicon
 from repro.eval.run_config import RunConfig
 from repro.models import GRUClassifier, LSTMClassifier, TextClassifier, TrainConfig, WCNN, fit
 from repro.nn.serialization import load, save
-from repro.obs.exporter import TelemetryServer
 from repro.obs.registry import MetricsRegistry
 from repro.text import (
     NGramLM,
@@ -135,16 +134,12 @@ class ExperimentContext:
     ``overrides`` are :class:`~repro.eval.run_config.RunConfig` field
     names (``cache_dir=``, ``n_workers=``, ``trace_dir=``, ...); the
     rest of :attr:`run` comes from the ``REPRO_*`` environment, resolved
-    once here.  The context owns one live
-    :class:`~repro.obs.exporter.TelemetryServer` (see :attr:`telemetry`)
-    for its whole lifetime, so the endpoints keep serving the last
-    cell's frozen final state between cells.
+    once here.
     """
 
     def __init__(self, settings: ExperimentSettings | None = None, **overrides) -> None:
         self.settings = settings or ExperimentSettings()
         self.run = RunConfig.from_env(**overrides)
-        self._telemetry: TelemetryServer | None = None
         self._datasets: dict[str, TextDataset] = {}
         self._lexicons: dict[str, DomainLexicon] = {}
         self._vectors: dict[str, dict[str, np.ndarray]] = {}
@@ -374,18 +369,3 @@ class ExperimentContext:
         if self.run.trace_dir is None:
             return None
         return self.run.trace_dir / tag
-
-    @property
-    def telemetry(self) -> TelemetryServer | None:
-        """The context-owned live HTTP exporter (started on first access).
-
-        ``None`` unless ``run.telemetry_port`` is set.  With an ephemeral
-        port (0), read the bound one from :attr:`TelemetryServer.port` /
-        :attr:`TelemetryServer.url`.
-        """
-        if self.run.telemetry_port is None:
-            return None
-        if self._telemetry is None:
-            self._telemetry = TelemetryServer(port=self.run.telemetry_port)
-            self._telemetry.start()
-        return self._telemetry

@@ -409,7 +409,6 @@ class GridRunner:
             journal_path=context.journal_path(cell.tag),
             progress=ProgressPrinter() if context.run.progress else None,
             trace_dir=context.trace_path(cell.tag),
-            telemetry=context.telemetry,
         )
         return CellResult(cell=cell, tag=cell.tag, evaluation=evaluation, victim=victim)
 

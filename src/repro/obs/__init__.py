@@ -1,6 +1,7 @@
-"""Unified observability layer: tracing, metrics, phase spans, reports.
+"""Post-hoc observability: tracing, metrics, phase spans, reports.
 
-The pieces compose with the fork-based parallel runner:
+Every artifact is written during a run and read after it; nothing is
+served live.  The pieces compose with the fork-based parallel runner:
 
 - :mod:`repro.obs.trace` — schema-versioned per-document JSONL attack
   traces (``TraceRecorder`` / ``DocumentTrace``), sampled via
@@ -12,13 +13,6 @@ The pieces compose with the fork-based parallel runner:
 - :mod:`repro.obs.report` — ``metrics.json`` + ``failures.jsonl``
   writers and the markdown run report behind
   ``python -m repro.experiments report <run_dir>``;
-- :mod:`repro.obs.timeseries` — live ``TimeSeriesSampler`` writing
-  ``series.jsonl`` trajectories, plus the sparkline dashboard behind
-  ``python -m repro.experiments watch``;
-- :mod:`repro.obs.exporter` — dependency-free HTTP ``TelemetryServer``
-  (``/metrics`` Prometheus text, ``/metrics.json``, ``/healthz``,
-  ``/series.json``), enabled by the run configuration's
-  ``telemetry_port`` (``REPRO_TELEMETRY_PORT``);
 - :mod:`repro.obs.compare` — run-to-run regression comparison with
   relative-tolerance gates behind
   ``python -m repro.experiments compare <run_a> <run_b>``.
@@ -33,7 +27,6 @@ from repro.obs.compare import (
     render_compare_report,
     summarize_run_dir,
 )
-from repro.obs.exporter import TelemetryServer, render_prometheus
 from repro.obs.registry import Histogram, MetricsRegistry, default_latency_bounds
 from repro.obs.report import (
     FAILURES_FILENAME,
@@ -44,17 +37,6 @@ from repro.obs.report import (
     render_phase_table,
     render_report,
     write_run_metrics,
-)
-from repro.obs.timeseries import (
-    SERIES_FILENAME,
-    SERIES_SCHEMA_VERSION,
-    TimeSeriesSampler,
-    iter_series_files,
-    load_run_series,
-    read_series,
-    render_dashboard,
-    sparkline,
-    validate_series_line,
 )
 from repro.obs.trace import (
     TRACE_SCHEMA_VERSION,
@@ -87,17 +69,6 @@ __all__ = [
     "load_failures",
     "render_report",
     "render_phase_table",
-    "SERIES_SCHEMA_VERSION",
-    "SERIES_FILENAME",
-    "TimeSeriesSampler",
-    "read_series",
-    "iter_series_files",
-    "load_run_series",
-    "validate_series_line",
-    "sparkline",
-    "render_dashboard",
-    "TelemetryServer",
-    "render_prometheus",
     "DEFAULT_REL_TOL",
     "MetricDelta",
     "RunComparison",

@@ -3,11 +3,10 @@
 ``python -m repro.experiments compare <run_a> <run_b>`` turns the paper's
 throughput/query-efficiency story into a standing check: given two run
 directories (anything ``REPRO_TRACE_DIR`` pointed at — each holds
-``metrics.json``, ``series.jsonl`` and optionally ``BENCH_*.json``
-copies), this module
+``metrics.json`` and optionally ``BENCH_*.json`` copies), this module
 
 1. derives a flat summary per run — success rate, queries/doc, cache hit
-   rate, docs/s (from the run gauges and the sampled series), wall-time
+   rate, docs/s (from the run gauges), wall-time
    quantiles, failure counts, plus every scalar metric of any
    ``BENCH_*.json`` found in the run directory root;
 2. compares the summaries metric by metric under **relative-tolerance
@@ -35,7 +34,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.obs.report import load_run_metrics, _md_table
-from repro.obs.timeseries import load_run_series
 
 __all__ = [
     "DEFAULT_REL_TOL",
@@ -126,9 +124,9 @@ def _ratio(num: float, den: float) -> float | None:
 def summarize_run_dir(run_dir: str | Path) -> dict[str, float]:
     """Flatten one run directory into ``{metric: value}``.
 
-    Sources: the merged ``metrics.json`` registries, the sampled
-    ``series.jsonl`` trajectory, and any ``BENCH_*.json`` in the run-dir
-    root (scalar entries only, prefixed ``bench/<stem>/``).
+    Sources: the merged ``metrics.json`` registries and any
+    ``BENCH_*.json`` in the run-dir root (scalar entries only, prefixed
+    ``bench/<stem>/``).
     """
     run_dir = Path(run_dir)
     metrics = load_run_metrics(run_dir)
@@ -160,19 +158,6 @@ def summarize_run_dir(run_dir: str | Path) -> dict[str, float]:
         for name, value in source.items():
             if name.startswith(("tournament/", "frontier/")):
                 out[name] = float(value)
-
-    points = [p for p in load_run_series(run_dir) if p.get("source") == "run"]
-    if points:
-        out["series/points"] = float(len(points))
-        rates = [p.get("rates", {}).get("attack/docs") for p in points]
-        rates = [r for r in rates if r is not None]
-        if rates:
-            out["series/docs_per_second_peak"] = max(rates)
-            out["series/docs_per_second_mean"] = sum(rates) / len(rates)
-        final = points[-1].get("counters", {})
-        for name in ("attack/docs", "attack/n_queries", "attack/successes"):
-            if name in final:
-                out[f"series/final_{name.split('/', 1)[1]}"] = final[name]
 
     for path in sorted(run_dir.glob("BENCH_*.json")):
         try:
@@ -278,8 +263,7 @@ def render_compare_report(comparison: RunComparison) -> str:
         return f"REGRESSED ({arrow} better)" if delta.regressed else "ok"
 
     sections = (
-        ("Run metrics", lambda n: not n.startswith(("bench/", "series/"))),
-        ("Series trajectory", lambda n: n.startswith("series/")),
+        ("Run metrics", lambda n: not n.startswith("bench/")),
         ("BENCH files", lambda n: n.startswith("bench/")),
     )
     for title, selector in sections:

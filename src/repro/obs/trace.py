@@ -237,7 +237,7 @@ def iter_trace_files(run_dir: str | Path) -> Iterator[Path]:
 
 
 def validate_run_dir(run_dir: str | Path) -> int:
-    """Validate every trace and series line under ``run_dir``.
+    """Validate every trace line under ``run_dir``.
 
     Returns the number of lines checked; raises :class:`TraceSchemaError`
     naming the offending file and line.
@@ -247,20 +247,6 @@ def validate_run_dir(run_dir: str | Path) -> int:
         for lineno, event in enumerate(read_trace(path), start=1):
             try:
                 validate_trace_line(event)
-            except TraceSchemaError as exc:
-                raise TraceSchemaError(f"{path}:{lineno}: {exc}") from None
-            checked += 1
-    # imported lazily: timeseries imports TraceSchemaError from this module
-    from repro.obs.timeseries import (
-        iter_series_files,
-        read_series,
-        validate_series_line,
-    )
-
-    for path in iter_series_files(run_dir):
-        for lineno, point in enumerate(read_series(path), start=1):
-            try:
-                validate_series_line(point)
             except TraceSchemaError as exc:
                 raise TraceSchemaError(f"{path}:{lineno}: {exc}") from None
             checked += 1

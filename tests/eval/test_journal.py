@@ -8,6 +8,7 @@ indices of the uninterrupted schedule.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.eval.journal import (
     corpus_fingerprint,
 )
 from repro.eval.metrics import evaluate_attack
+from repro.eval.run_config import RunConfig
 
 N_EXAMPLES = 8
 
@@ -43,14 +45,25 @@ def make_result(**overrides):
 
 
 class CountingRandomAttack(RandomWordAttack):
-    """Random attack that records every document it actually attacks."""
+    """Random attack that records every document it actually attacks.
 
-    def __init__(self, *args, **kwargs):
+    The log is a file with one line per attacked document, so documents
+    attacked in forked pool workers are counted too.
+    """
+
+    def __init__(self, *args, log_path, **kwargs):
         super().__init__(*args, **kwargs)
-        self.attack_log: list[tuple[str, ...]] = []
+        self.log_path = log_path
+        self.log_path.touch()
+
+    @property
+    def attack_log(self) -> list[tuple[str, ...]]:
+        lines = self.log_path.read_text().splitlines()
+        return [tuple(json.loads(line)) for line in lines]
 
     def attack(self, doc, target_label):
-        self.attack_log.append(tuple(doc))
+        with open(self.log_path, "a") as fh:
+            fh.write(json.dumps(list(doc)) + "\n")
         return super().attack(doc, target_label)
 
 
@@ -143,13 +156,15 @@ class TestEvaluateAttackResume:
     ):
         # stochastic attack: resume equality only holds if the remaining
         # documents keep their original seed indices
-        fresh_attack = CountingRandomAttack(victim, word_paraphraser, 0.3, seed=5)
+        fresh_attack = CountingRandomAttack(
+            victim, word_paraphraser, 0.3, seed=5, log_path=tmp_path / "fresh.log"
+        )
         fresh = evaluate_attack(victim, fresh_attack, **run_kwargs)
         assert fresh.n_attacked > 3
 
         path = tmp_path / "run.jsonl"
         interrupted_attack = CountingRandomAttack(
-            victim, word_paraphraser, 0.3, seed=5
+            victim, word_paraphraser, 0.3, seed=5, log_path=tmp_path / "interrupted.log"
         )
 
         def interrupt_after_three(beat):
@@ -166,17 +181,30 @@ class TestEvaluateAttackResume:
             )
         journaled = RunJournal(path).completed_indices()
         assert 0 < len(journaled) < fresh.n_attacked
+        journaled_docs = Counter(
+            tuple(outcome.original) for outcome in RunJournal(path).outcomes().values()
+        )
+        assert journaled_docs <= Counter(interrupted_attack.attack_log)
 
-        resumed_attack = CountingRandomAttack(victim, word_paraphraser, 0.3, seed=5)
+        resumed_attack = CountingRandomAttack(
+            victim, word_paraphraser, 0.3, seed=5, log_path=tmp_path / "resumed.log"
+        )
         resumed = evaluate_attack(
             victim, resumed_attack, journal_path=path, **run_kwargs
         )
 
-        # no document attacked twice across interrupt + resume
+        # the resume attacks exactly the documents missing from the journal
+        assert Counter(resumed_attack.attack_log) == (
+            Counter(fresh_attack.attack_log) - journaled_docs
+        )
+        # no document attacked twice across interrupt + resume.  Under the
+        # pool, chunks in flight when the interrupt lands are attacked but
+        # never journaled, so only the serial run can pin the total
         total_attacked = len(interrupted_attack.attack_log) + len(
             resumed_attack.attack_log
         )
-        assert total_attacked == fresh.n_attacked
+        if RunConfig.from_env().n_workers == 1:
+            assert total_attacked == fresh.n_attacked
         assert len(RunJournal(path).completed_indices()) == fresh.n_attacked
 
         # the resumed evaluation is the fresh evaluation (modulo wall clock)
@@ -202,9 +230,14 @@ class TestEvaluateAttackResume:
         self, victim, word_paraphraser, run_kwargs, tmp_path
     ):
         path = tmp_path / "run.jsonl"
-        attack = CountingRandomAttack(victim, word_paraphraser, 0.3, seed=5)
+        attack = CountingRandomAttack(
+            victim, word_paraphraser, 0.3, seed=5, log_path=tmp_path / "first.log"
+        )
         first = evaluate_attack(victim, attack, journal_path=path, **run_kwargs)
-        replay_attack = CountingRandomAttack(victim, word_paraphraser, 0.3, seed=5)
+        assert len(attack.attack_log) == first.n_attacked
+        replay_attack = CountingRandomAttack(
+            victim, word_paraphraser, 0.3, seed=5, log_path=tmp_path / "replay.log"
+        )
         replay = evaluate_attack(
             victim, replay_attack, journal_path=path, **run_kwargs
         )
@@ -218,14 +251,19 @@ class TestEvaluateAttackResume:
         """Older versions appended forward-counter ``perf`` lines; a journal
         holding them still resumes without re-attacking anything."""
         path = tmp_path / "run.jsonl"
-        attack = CountingRandomAttack(victim, word_paraphraser, 0.3, seed=5)
+        attack = CountingRandomAttack(
+            victim, word_paraphraser, 0.3, seed=5, log_path=tmp_path / "first.log"
+        )
         first = evaluate_attack(victim, attack, journal_path=path, **run_kwargs)
+        assert len(attack.attack_log) == first.n_attacked
         perf_line = {"kind": "perf", "snapshot": {"n_forward_docs": 3, "buckets": {}}}
         lines = path.read_text().splitlines()
         lines.insert(2, json.dumps(perf_line))
         path.write_text("\n".join([*lines, json.dumps(perf_line)]) + "\n")
 
-        replay_attack = CountingRandomAttack(victim, word_paraphraser, 0.3, seed=5)
+        replay_attack = CountingRandomAttack(
+            victim, word_paraphraser, 0.3, seed=5, log_path=tmp_path / "replay.log"
+        )
         replay = evaluate_attack(victim, replay_attack, journal_path=path, **run_kwargs)
         assert replay_attack.attack_log == []
         assert replay.results == first.results

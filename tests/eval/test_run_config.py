@@ -1,7 +1,6 @@
 """RunConfig: the one place the ``REPRO_*`` environment is read and validated."""
 
 import dataclasses
-import math
 from pathlib import Path
 
 import pytest
@@ -19,8 +18,6 @@ VARIABLES = {
     "journal_dir": "REPRO_JOURNAL_DIR",
     "trace_dir": "REPRO_TRACE_DIR",
     "trace_every_n": "REPRO_TRACE_EVERY_N",
-    "series_interval": "REPRO_SERIES_INTERVAL",
-    "telemetry_port": "REPRO_TELEMETRY_PORT",
 }
 
 
@@ -47,8 +44,6 @@ def test_unset_environment_gives_the_defaults():
     assert run.progress is False
     assert run.journal_dir is None and run.trace_dir is None
     assert run.trace_every_n == 1
-    assert run.series_interval == 1.0
-    assert run.telemetry_port is None
 
 
 @pytest.mark.parametrize(
@@ -57,7 +52,6 @@ def test_unset_environment_gives_the_defaults():
         ("cache_dir", "some/cache", Path("some/cache")),
         ("journal_dir", "runs", Path("runs")),
         ("trace_dir", " traces ", Path("traces")),
-        ("telemetry_port", "65535", 65535),
     ],
 )
 def test_variable_fills_its_field(monkeypatch, field, raw, expected):
@@ -101,12 +95,6 @@ BAD_ENV = [
     ("REPRO_TRACE_EVERY_N", "abc"),
     ("REPRO_TRACE_EVERY_N", "0"),
     ("REPRO_TRACE_EVERY_N", "1.5"),
-    ("REPRO_SERIES_INTERVAL", "nan"),
-    ("REPRO_SERIES_INTERVAL", "inf"),
-    ("REPRO_SERIES_INTERVAL", "abc"),
-    ("REPRO_SERIES_INTERVAL", "0"),
-    ("REPRO_SERIES_INTERVAL", "-1"),
-    ("REPRO_TELEMETRY_PORT", "70000"),
 ]
 
 
@@ -126,9 +114,6 @@ def test_bad_variable_is_rejected_by_name(monkeypatch, variable, raw):
         ("n_workers", 2.5),
         ("progress", "maybe"),
         ("trace_every_n", 0),
-        ("series_interval", math.nan),
-        ("series_interval", math.inf),
-        ("telemetry_port", 70000),
     ],
 )
 def test_bad_explicit_value_is_rejected_by_field(field, value):
@@ -162,4 +147,3 @@ def test_context_resolves_once_from_overrides_and_env(monkeypatch, tmp_path):
     )
     assert context.trace_path("cell") == tmp_path / "traces" / "cell"
     assert context.journal_path("cell") is None
-    assert context.telemetry is None

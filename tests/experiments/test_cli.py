@@ -146,7 +146,7 @@ class TestReportCli:
 
     def test_report_validate_counts_lines(self, capsys, traced_run):
         assert main(["report", str(traced_run), "--validate"]) == 0
-        assert "[validated 3 trace/series lines]" in capsys.readouterr().err
+        assert "[validated 3 trace lines]" in capsys.readouterr().err
 
     def test_report_validate_rejects_bad_trace(self, traced_run):
         (traced_run / "trace-000001.jsonl").write_text('{"v": 1, "kind": "bogus"}\n')
@@ -278,25 +278,3 @@ class TestCompareTournamentGates:
         assert main(["compare", str(tournament_run), str(copy)]) == 1
         assert self.TRANSFER in capsys.readouterr().err
 
-
-class TestWatchCli:
-    def test_watch_once_renders_dashboard(self, capsys, tmp_path):
-        from repro.obs.timeseries import TimeSeriesSampler
-
-        reg = MetricsRegistry()
-        sampler = TimeSeriesSampler(
-            reg.snapshot, path=tmp_path / "series.jsonl", interval_seconds=0.001
-        )
-        reg.inc("attack/docs", 2)
-        reg.set_gauge("run/done", 2)
-        sampler.sample()
-        reg.inc("attack/docs", 3)
-        reg.set_gauge("run/done", 5)
-        sampler.close()
-        assert main(["watch", str(tmp_path), "--once"]) == 0
-        out = capsys.readouterr().out
-        assert "docs done" in out
-
-    def test_watch_missing_dir_exits_2(self, capsys, tmp_path):
-        assert main(["watch", str(tmp_path / "nope"), "--once"]) == 2
-        assert "does not exist" in capsys.readouterr().err

@@ -13,7 +13,6 @@ from repro.obs.compare import (
 )
 from repro.obs.registry import MetricsRegistry
 from repro.obs.report import METRICS_FILENAME, write_run_metrics
-from repro.obs.timeseries import SERIES_FILENAME, TimeSeriesSampler
 
 
 def _make_run(
@@ -22,7 +21,6 @@ def _make_run(
     successes=3,
     queries=200,
     docs_per_second=2.5,
-    with_series=False,
     bench=None,
 ):
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -33,12 +31,6 @@ def _make_run(
     reg.inc("attack/cache_hits", 50)
     reg.observe("attack/wall_time_seconds", 0.2)
     reg.set_gauge("run/docs_per_second", docs_per_second)
-    if with_series:
-        sampler = TimeSeriesSampler(
-            reg.snapshot, path=run_dir / SERIES_FILENAME, interval_seconds=0.001
-        )
-        sampler.sample()
-        sampler.close()
     write_run_metrics(run_dir, reg.snapshot())
     if bench:
         (run_dir / "BENCH_demo.json").write_text(json.dumps(bench))
@@ -57,7 +49,6 @@ class TestMetricDirection:
             ("failures", "lower"),
             ("bench/demo/speedup", "higher"),
             ("docs", "info"),
-            ("series/points", "info"),
         ],
     )
     def test_directions(self, name, direction):
@@ -69,10 +60,9 @@ class TestMetricDirection:
 
 
 class TestSummarize:
-    def test_flattens_metrics_series_and_bench(self, tmp_path):
+    def test_flattens_metrics_and_bench(self, tmp_path):
         run = _make_run(
             tmp_path / "run",
-            with_series=True,
             bench={"throughput": {"value": 12.5}, "note": {"value": "text"}},
         )
         summary = summarize_run_dir(run)
@@ -82,16 +72,14 @@ class TestSummarize:
         assert summary["cache_hit_rate"] == pytest.approx(50 / 250)
         assert summary["docs_per_second"] == 2.5
         assert summary["wall_time_per_doc_p50_seconds"] > 0
-        assert summary["series/points"] == 2.0
-        assert summary["series/final_n_queries"] == 200.0
         assert summary["bench/BENCH_demo/throughput"] == 12.5
         assert "bench/BENCH_demo/note" not in summary  # non-scalar skipped
 
 
 class TestCompareRuns:
     def test_identical_runs_pass(self, tmp_path):
-        a = _make_run(tmp_path / "a", with_series=True)
-        b = _make_run(tmp_path / "b", with_series=True)
+        a = _make_run(tmp_path / "a")
+        b = _make_run(tmp_path / "b")
         comparison = compare_runs(a, b)
         assert comparison.ok
         assert comparison.rel_tol == DEFAULT_REL_TOL
@@ -165,11 +153,10 @@ class TestCompareRuns:
             compare_runs(a, a, rel_tol=-0.1)
 
     def test_report_sections(self, tmp_path):
-        a = _make_run(tmp_path / "a", with_series=True, bench={"speedup": {"value": 3.0}})
-        b = _make_run(tmp_path / "b", with_series=True, bench={"speedup": {"value": 3.0}})
+        a = _make_run(tmp_path / "a", bench={"speedup": {"value": 3.0}})
+        b = _make_run(tmp_path / "b", bench={"speedup": {"value": 3.0}})
         report = render_compare_report(compare_runs(a, b))
         assert "## Run metrics" in report
-        assert "## Series trajectory" in report
         assert "## BENCH files" in report
 
 

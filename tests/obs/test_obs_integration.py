@@ -37,7 +37,7 @@ def _traced_run(victim, word_paraphraser, atk_corpus, trace_dir, n_workers, **ru
 
 
 class TestTraceReconciliation:
-    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("n_workers", [1, 2, 4])
     def test_forwards_reconcile_with_n_queries(
         self, victim, word_paraphraser, atk_corpus, tmp_path, n_workers
     ):
@@ -98,7 +98,14 @@ class TestTraceReconciliation:
         self, victim, word_paraphraser, atk_corpus, tmp_path
     ):
         _, evaluation = _traced_run(victim, word_paraphraser, atk_corpus, tmp_path, 1)
-        assert validate_run_dir(tmp_path) > 0
+        n_trace_lines = sum(
+            1
+            for path in iter_trace_files(tmp_path)
+            for line in path.read_text().splitlines()
+            if line.strip()
+        )
+        assert n_trace_lines > 0
+        assert validate_run_dir(tmp_path) == n_trace_lines
         report = render_report(tmp_path)
         assert f"| documents traced | {evaluation.n_attacked} |" in report
         total = sum(r.n_queries for r in evaluation.results)
